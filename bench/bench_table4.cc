@@ -1,8 +1,8 @@
 // Table 4: time to compute the FastT strategy (Alg. 2) per model on 2/4/8
 // GPUs. The paper's numbers are dominated by profiled training steps and
 // session restarts, so we report the simulated pre-training wall-clock
-// (profiling + restarts + algorithm) alongside the pure host CPU time spent
-// inside DPOS/OS-DPOS.
+// (profiling + restarts + algorithm) alongside the wall time spent inside
+// DPOS/OS-DPOS alone.
 #include "harness.h"
 
 using namespace fastt;
@@ -13,7 +13,7 @@ int main() {
       "Table 4 — strategy computation time (seconds).\n"
       "  'strategy' = simulated pre-training wall-clock "
       "(profiling + restarts + algorithm), the paper's metric;\n"
-      "  'algo' = host CPU seconds inside DPOS/OS-DPOS alone.\n\n");
+      "  'algo' = wall-clock seconds inside DPOS/OS-DPOS alone.\n\n");
   TablePrinter table({"Model(batch)", "2GPUs strategy", "2GPUs algo",
                       "4GPUs strategy", "4GPUs algo", "8GPUs strategy",
                       "8GPUs algo"});

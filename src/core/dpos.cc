@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
-#include <map>
 #include <queue>
-#include <unordered_map>
 
 #include "core/rank.h"
 #include "core/timeline.h"
@@ -93,20 +91,21 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
     mem_budget[static_cast<size_t>(d)] = static_cast<int64_t>(
         options.memory_headroom *
         static_cast<double>(cluster.device(d).usable_bytes()));
-  std::vector<DeviceTimeline> timeline(static_cast<size_t>(n_dev));
+  TaggedVector<DeviceTimeline> timeline(static_cast<size_t>(n_dev));
 
   // ---- Critical-path device selection (Alg. 1 line 5) ---------------------
   // Walk the CP, and for the ops not yet assigned pick the device with the
   // smallest average compute time over the longest prefix it can host; when
   // its memory fills, pick the next CP device for the remainder.
-  std::unordered_map<OpId, DeviceId> cp_device;
+  // cp_device[op] is the device reserved for a CP op, kInvalidDevice else.
+  TaggedVector<DeviceId> cp_device(slots, kInvalidDevice);
   if (options.use_critical_path_device) {
     FASTT_TRACE_SPAN("dpos/cp_device");
     struct CpCandidate {
       double avg = kInf;
       size_t count = 0;
     };
-    std::vector<CpCandidate> cands(static_cast<size_t>(n_dev));
+    TaggedVector<CpCandidate> cands(static_cast<size_t>(n_dev));
     size_t pos = 0;
     while (pos < result.critical_path.size()) {
       // Per-device prefix scan, parallel across devices.
@@ -150,7 +149,7 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
       }
       for (size_t i = pos; i < pos + best_count; ++i) {
         const OpId id = result.critical_path[i];
-        cp_device[id] = best;
+        cp_device[static_cast<size_t>(id)] = best;
         planned_mem[static_cast<size_t>(best)] +=
             mem_need[static_cast<size_t>(id)];
       }
@@ -161,7 +160,7 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
   // ---- List scheduling ------------------------------------------------------
   // Rank-ordered priority queue, gated by precedence (an op becomes eligible
   // once all predecessors are placed) so ready times are always computable.
-  std::vector<int32_t> unplaced_preds(slots, 0);
+  TaggedVector<int32_t> unplaced_preds(slots, 0);
   for (OpId id : g.LiveOps()) {
     for (EdgeId e : g.in_edges(id)) {
       const Edge& edge = g.edge(e);
@@ -179,31 +178,71 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
   // destination device). Without this, DPOS systematically under-prices
   // placements that funnel many large tensors into one device — the exact
   // error that made gradient-aggregation traffic look free.
-  std::vector<double> egress_free(static_cast<size_t>(n_dev), 0.0);
-  std::vector<double> ingress_free(static_cast<size_t>(n_dev), 0.0);
-  std::map<std::pair<OpId, DeviceId>, double> sent_arrival;
+  TaggedVector<double> egress_free(static_cast<size_t>(n_dev), 0.0);
+  TaggedVector<double> ingress_free(static_cast<size_t>(n_dev), 0.0);
+  // Arrival of op's output on device d at sent_arrival[op * n_dev + d], or
+  // -1 while it has not been sent there (arrivals are >= 0).
+  TaggedVector<double> sent_arrival(slots * static_cast<size_t>(n_dev), -1.0);
+  auto sent = [&](OpId op, DeviceId d) -> double& {
+    return sent_arrival[static_cast<size_t>(op) * static_cast<size_t>(n_dev) +
+                        static_cast<size_t>(d)];
+  };
 
-  // Earliest data-ready time of `op` on device `d` given placed preds.
-  // Evaluation-only: consults but does not advance the channel state, so
-  // concurrent evaluations for different candidate devices are safe.
-  auto ready_time = [&](OpId op, DeviceId d) {
-    double t = 0.0;
+  // The op being placed, as every candidate device sees it: its placed
+  // producers (one per live in-edge, in edge order) and the devices its
+  // colocation-pinned consumers sit on. Gathered once per pop; nothing in
+  // them moves until the op is scheduled.
+  struct Producer {
+    OpId op = kInvalidOp;
+    DeviceId device = kInvalidDevice;
+    double finish = 0.0;
+    int64_t bytes = 0;
+  };
+  struct PinnedConsumer {
+    DeviceId device = kInvalidDevice;
+    int64_t bytes = 0;
+  };
+  TaggedVector<Producer> producers;
+  TaggedVector<PinnedConsumer> pinned;
+  auto gather = [&](OpId op) {
+    producers.clear();
     for (EdgeId e : g.in_edges(op)) {
       const Edge& edge = g.edge(e);
       if (edge.dead || g.op(edge.src).dead) continue;
-      const DeviceId pd =
-          result.strategy.placement[static_cast<size_t>(edge.src)];
-      const double ft = result.finish_time[static_cast<size_t>(edge.src)];
-      double arrival = ft;
-      if (pd != d) {
-        auto it = sent_arrival.find({edge.src, d});
-        if (it != sent_arrival.end()) {
-          arrival = it->second;
-        } else {
+      const size_t src = static_cast<size_t>(edge.src);
+      producers.push_back(Producer{edge.src, result.strategy.placement[src],
+                                   result.finish_time[src], edge.bytes});
+    }
+    pinned.clear();
+    for (EdgeId e : g.out_edges(op)) {
+      const Edge& edge = g.edge(e);
+      if (edge.dead || g.op(edge.dst).dead) continue;
+      // Consumers are unplaced, but colocation can already pin them
+      // (gradients flowing toward a parameter's aggregation/update
+      // site) — exactly the traffic §6.5's placements avoid.
+      const OpId anchor = g.op(edge.dst).colocate_with;
+      if (anchor == kInvalidOp) continue;
+      const DeviceId ad =
+          result.strategy.placement[static_cast<size_t>(anchor)];
+      if (ad != kInvalidDevice)
+        pinned.push_back(PinnedConsumer{ad, edge.bytes});
+    }
+  };
+
+  // Earliest data-ready time of the gathered op on device `d`.
+  // Evaluation-only: consults but does not advance the channel state, so
+  // concurrent evaluations for different candidate devices are safe.
+  auto ready_time = [&](DeviceId d) {
+    double t = 0.0;
+    for (const Producer& p : producers) {
+      double arrival = p.finish;
+      if (p.device != d) {
+        arrival = sent(p.op, d);
+        if (arrival < 0.0) {
           const double start =
-              std::max({ft, egress_free[static_cast<size_t>(pd)],
+              std::max({p.finish, egress_free[static_cast<size_t>(p.device)],
                         ingress_free[static_cast<size_t>(d)]});
-          arrival = start + comm_t.Estimate(pd, d, edge.bytes);
+          arrival = start + comm_t.Estimate(p.device, d, p.bytes);
         }
       }
       t = std::max(t, arrival);
@@ -213,24 +252,20 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
 
   auto schedule_on = [&](OpId op, DeviceId d) {
     // Commit incoming transfers to the copy engines (dedup'd per tensor).
-    for (EdgeId e : g.in_edges(op)) {
-      const Edge& edge = g.edge(e);
-      if (edge.dead || g.op(edge.src).dead) continue;
-      const DeviceId pd =
-          result.strategy.placement[static_cast<size_t>(edge.src)];
-      if (pd == d) continue;
-      if (sent_arrival.count({edge.src, d}) > 0) continue;
-      const double ft = result.finish_time[static_cast<size_t>(edge.src)];
+    for (const Producer& p : producers) {
+      if (p.device == d) continue;
+      double& arrival = sent(p.op, d);
+      if (arrival >= 0.0) continue;
       const double start =
-          std::max({ft, egress_free[static_cast<size_t>(pd)],
+          std::max({p.finish, egress_free[static_cast<size_t>(p.device)],
                     ingress_free[static_cast<size_t>(d)]});
-      const double dur = comm_t.Estimate(pd, d, edge.bytes);
-      egress_free[static_cast<size_t>(pd)] = start + dur;
+      const double dur = comm_t.Estimate(p.device, d, p.bytes);
+      egress_free[static_cast<size_t>(p.device)] = start + dur;
       ingress_free[static_cast<size_t>(d)] = start + dur;
-      sent_arrival[{edge.src, d}] = start + dur;
+      arrival = start + dur;
     }
     const double w = comp_t.Time(op, d);
-    const double ready = ready_time(op, d);
+    const double ready = ready_time(d);
     const double start = timeline[static_cast<size_t>(d)].EarliestSlot(ready, w);
     timeline[static_cast<size_t>(d)].Commit(start, w, op);
     result.strategy.placement[static_cast<size_t>(op)] = d;
@@ -238,40 +273,24 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
     result.finish_time[static_cast<size_t>(op)] = start + w;
   };
 
-  // Candidate score of placing `op` on `d`: EFT plus the communication
-  // affinity term. Returns +inf when the device lacks memory.
+  // Candidate score of placing the gathered `op` on `d`: EFT plus the
+  // communication affinity term. Returns +inf when the device lacks memory.
   auto device_score = [&](OpId op, DeviceId d) {
     if (planned_mem[static_cast<size_t>(d)] +
             mem_need[static_cast<size_t>(op)] >
         mem_budget[static_cast<size_t>(d)])
       return kInf;
     const double w = comp_t.Time(op, d);
-    const double ready = ready_time(op, d);
+    const double ready = ready_time(d);
     const double eft =
         timeline[static_cast<size_t>(d)].EarliestSlot(ready, w) + w;
     double score = eft;
     if (options.comm_affinity > 0.0) {
       double traffic = 0.0;
-      for (EdgeId e : g.in_edges(op)) {
-        const Edge& edge = g.edge(e);
-        if (edge.dead || g.op(edge.src).dead) continue;
-        const DeviceId pd =
-            result.strategy.placement[static_cast<size_t>(edge.src)];
-        traffic += comm_t.Estimate(pd, d, edge.bytes);
-      }
-      for (EdgeId e : g.out_edges(op)) {
-        const Edge& edge = g.edge(e);
-        if (edge.dead || g.op(edge.dst).dead) continue;
-        // Consumers are unplaced, but colocation can already pin them
-        // (gradients flowing toward a parameter's aggregation/update
-        // site) — exactly the traffic §6.5's placements avoid.
-        const OpId anchor = g.op(edge.dst).colocate_with;
-        if (anchor == kInvalidOp) continue;
-        const DeviceId ad =
-            result.strategy.placement[static_cast<size_t>(anchor)];
-        if (ad != kInvalidDevice)
-          traffic += comm_t.Estimate(d, ad, edge.bytes);
-      }
+      for (const Producer& p : producers)
+        traffic += comm_t.Estimate(p.device, d, p.bytes);
+      for (const PinnedConsumer& c : pinned)
+        traffic += comm_t.Estimate(d, c.device, c.bytes);
       score += options.comm_affinity * traffic;
     }
     return score;
@@ -298,7 +317,7 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
       CandidateScore c;
       c.device = d;
       const double w = comp_t.Time(op, d);
-      c.est_s = ready_time(op, d);
+      c.est_s = ready_time(d);
       c.eft_s = timeline[static_cast<size_t>(d)].EarliestSlot(c.est_s, w) + w;
       c.score_s = device_score(op, d);
       c.memory_rejected = planned_mem[static_cast<size_t>(d)] +
@@ -317,19 +336,20 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
     queue.pop();
     FASTT_TRACE_COUNTER("dpos/ready_queue", queue.size());
     const Operation& o = g.op(op);
+    gather(op);
 
     DeviceId chosen = kInvalidDevice;
     PlacementReason reason = PlacementReason::kBestEft;
     bool charge_mem = true;
     const auto colocate = o.colocate_with;
-    auto cp_it = cp_device.find(op);
+    const DeviceId cp_dev = cp_device[static_cast<size_t>(op)];
     if (colocate != kInvalidOp &&
         result.strategy.placement[static_cast<size_t>(colocate)] !=
             kInvalidDevice) {
       chosen = result.strategy.placement[static_cast<size_t>(colocate)];
       reason = PlacementReason::kColocated;
-    } else if (cp_it != cp_device.end()) {
-      chosen = cp_it->second;  // memory already reserved in phase 1
+    } else if (cp_dev != kInvalidDevice) {
+      chosen = cp_dev;  // memory already reserved in phase 1
       reason = PlacementReason::kCriticalPathDevice;
       charge_mem = false;
     } else {
@@ -339,12 +359,16 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
       // the serial loop's tie-break exactly.
       const bool tracing =
           trace != nullptr && o.name.find(trace) != std::string::npos;
-      ParallelFor(
-          static_cast<size_t>(n_dev),
-          [&](size_t di) {
-            scores[di] = device_score(op, static_cast<DeviceId>(di));
-          },
-          tracing ? static_cast<size_t>(n_dev) + 1 : kMinParallelScoreDevices);
+      auto score_device = [&](size_t di) {
+        scores[di] = device_score(op, static_cast<DeviceId>(di));
+      };
+      // Below the threshold the loop runs inline: ParallelFor would run it
+      // serially too, but only after wrapping it in a std::function.
+      const size_t width = static_cast<size_t>(n_dev);
+      if (!tracing && width >= kMinParallelScoreDevices)
+        ParallelFor(width, score_device, kMinParallelScoreDevices);
+      else
+        for (size_t di = 0; di < width; ++di) score_device(di);
       if (tracing) {
         for (DeviceId d = 0; d < n_dev; ++d)
           FASTT_LOG(Debug, "dpos %-28s d%d: score=%.4f", o.name.c_str(), d,
@@ -383,17 +407,15 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
     schedule_on(op, chosen);
     ++placed;
 
-    for (OpId succ : g.Succs(op)) {
-      // Succs deduplicates; count down per-edge.
-      int32_t dec = 0;
-      for (EdgeId e : g.out_edges(op)) {
-        const Edge& edge = g.edge(e);
-        if (!edge.dead && edge.dst == succ) ++dec;
-      }
-      auto& left = unplaced_preds[static_cast<size_t>(succ)];
-      left -= dec;
-      if (left == 0)
-        queue.push(ReadyOp{result.rank[static_cast<size_t>(succ)], succ});
+    // Count down once per live out-edge. The order in which successors
+    // become ready does not matter: ReadyOp is a strict total order on
+    // (rank, id), so the queue pops the same sequence either way.
+    for (EdgeId e : g.out_edges(op)) {
+      const Edge& edge = g.edge(e);
+      if (edge.dead || g.op(edge.dst).dead) continue;
+      if (--unplaced_preds[static_cast<size_t>(edge.dst)] == 0)
+        queue.push(
+            ReadyOp{result.rank[static_cast<size_t>(edge.dst)], edge.dst});
     }
   }
   FASTT_CHECK_MSG(placed == static_cast<size_t>(g.num_live_ops()),

@@ -72,7 +72,7 @@ struct RoundSummary {
   bool oom = false;           // candidate ran out of memory (forced rollback)
   int ops_replaced = 0;       // placements changed vs. the incumbent
   int splits = 0;             // split decisions in the candidate
-  double algorithm_s = 0.0;   // host CPU inside DPOS/OS-DPOS this round
+  double algorithm_s = 0.0;   // wall time inside DPOS/OS-DPOS this round
   // Calibration digest of the round (full detail, including per-op residual
   // tables and rollback post-mortems, in CalculatorResult::calibration).
   double comp_err_p50 = 0.0;  // |rel err| percentiles of per-op comp costs
@@ -99,7 +99,8 @@ struct CalculatorResult {
   // restarts (what the paper's Table 4 reports, since their strategy time is
   // dominated by profiled training and restarts).
   double strategy_time_s = 0.0;
-  // Host CPU seconds actually spent inside DPOS/OS-DPOS.
+  // Wall-clock seconds spent inside the DPOS/OS-DPOS calls (steady clock;
+  // with --jobs > 1 the CPU time spent there is larger).
   double algorithm_time_s = 0.0;
   int rounds = 0;
   int rollbacks = 0;

@@ -19,23 +19,48 @@ void CompCostModel::AddProfile(const RunProfile& profile) {
     AddSample(p.cost_key, p.device, p.duration_s);
 }
 
+const CompCostModel::PerDevice* CompCostModel::Find(
+    const std::string& cost_key) const {
+  auto it = entries_.find(cost_key);
+  return it == entries_.end() ? nullptr : &it->second;
+}
+
 std::optional<double> CompCostModel::Lookup(const std::string& cost_key,
                                             DeviceId device) const {
-  auto it = entries_.find(cost_key);
-  if (it == entries_.end()) return std::nullopt;
-  auto jt = it->second.by_device.find(device);
-  if (jt == it->second.by_device.end()) return std::nullopt;
-  return jt->second.mean();
+  const PerDevice* per = Find(cost_key);
+  if (per == nullptr) return std::nullopt;
+  auto it = per->by_device.find(device);
+  if (it == per->by_device.end()) return std::nullopt;
+  return it->second.mean();
+}
+
+double CompCostModel::Estimate(const PerDevice* exact, const PerDevice* basis,
+                               double scale, DeviceId device) {
+  if (exact != nullptr) {
+    auto it = exact->by_device.find(device);
+    if (it != exact->by_device.end()) return it->second.mean();
+  }
+  if (basis != nullptr) {
+    auto it = basis->by_device.find(device);
+    if (it != basis->by_device.end()) return it->second.mean() * scale;
+  }
+  return 0.0;  // unknown: explore
 }
 
 double CompCostModel::EstimateOrExplore(const Operation& op,
                                         DeviceId device) const {
-  if (auto exact = Lookup(op.CostKey(), device)) return *exact;
-  if (!op.cost_basis_key.empty()) {
-    if (auto basis = Lookup(op.cost_basis_key, device))
-      return *basis * op.cost_scale;
-  }
-  return 0.0;  // unknown: explore
+  const PerDevice* basis =
+      op.cost_basis_key.empty() ? nullptr : Find(op.cost_basis_key);
+  return Estimate(Find(op.CostKey()), basis, op.cost_scale, device);
+}
+
+void CompCostModel::EstimateRow(const Operation& op, int32_t num_devices,
+                                double* row) const {
+  const PerDevice* exact = Find(op.CostKey());
+  const PerDevice* basis =
+      op.cost_basis_key.empty() ? nullptr : Find(op.cost_basis_key);
+  for (DeviceId d = 0; d < num_devices; ++d)
+    row[d] = Estimate(exact, basis, op.cost_scale, d);
 }
 
 double CompCostModel::MaxTimeOverDevices(const Operation& op,

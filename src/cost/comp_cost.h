@@ -39,6 +39,11 @@ class CompCostModel {
   //   3. 0 — explore (paper's rule).
   double EstimateOrExplore(const Operation& op, DeviceId device) const;
 
+  // EstimateOrExplore(op, d) for d in [0, num_devices), written to
+  // row[0..num_devices), with one lookup per key for the whole row.
+  void EstimateRow(const Operation& op, int32_t num_devices,
+                   double* row) const;
+
   // Maximal estimated time of the op over the given devices — the w_i term in
   // rank_u. Zero if nothing is known anywhere.
   double MaxTimeOverDevices(const Operation& op, int32_t num_devices) const;
@@ -62,6 +67,12 @@ class CompCostModel {
   struct PerDevice {
     std::unordered_map<DeviceId, OnlineMean> by_device;
   };
+  // Entry of a key, or nullptr when no sample has it.
+  const PerDevice* Find(const std::string& cost_key) const;
+  // The estimation order for one device, given the entries of the op's own
+  // key and of its basis key (either may be nullptr).
+  static double Estimate(const PerDevice* exact, const PerDevice* basis,
+                         double scale, DeviceId device);
   std::unordered_map<std::string, PerDevice> entries_;
   uint64_t version_ = 0;
 };

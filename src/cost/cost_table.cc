@@ -19,12 +19,12 @@ CompCostTable::CompCostTable(const Graph& g, const CompCostModel& model,
   for (OpId id = 0; id < num_slots_; ++id) {
     const Operation& op = g.op(id);
     if (op.dead) continue;
+    double* row = times_.data() + static_cast<size_t>(id) * devs;
+    model.EstimateRow(op, num_devices_, row);
     double best = 0.0;
-    for (DeviceId d = 0; d < num_devices_; ++d) {
-      const double t = model.EstimateOrExplore(op, d);
-      if (t == 0.0) ++unknown;
-      times_[static_cast<size_t>(id) * devs + static_cast<size_t>(d)] = t;
-      best = t > best ? t : best;
+    for (size_t d = 0; d < devs; ++d) {
+      if (row[d] == 0.0) ++unknown;
+      best = row[d] > best ? row[d] : best;
     }
     max_time_[static_cast<size_t>(id)] = best;
   }

@@ -5,7 +5,7 @@
 // search interrogates them millions of times: every DPOS queue pop scores
 // every candidate device, and OS-DPOS reschedules whole trial graphs per
 // split probe. A table is built once per scheduler invocation (one string
-// lookup per (op, device) and one map lookup per device pair), after which
+// lookup per op key and one map lookup per device pair), after which
 // every query is an array read. Tables are immutable after construction, so
 // the parallel search reads them from many threads without synchronization,
 // and each carries the model version it was built from so stale snapshots

@@ -76,6 +76,231 @@ TEST(Timeline, PropertyRandomCommitsNeverOverlap) {
   }
 }
 
+// ---- DeviceTimeline vs. the linear-scan reference ---------------------------
+
+// The timeline before it was chunked, kept as the reference: one vector of
+// intervals sorted by (start, end), a search for the first interval that
+// ends after the ready time, then a linear walk one interval at a time. The
+// search here is a scan; while the ends are sorted it lands where the old
+// binary search did, which the reference checks.
+class LinearTimeline {
+ public:
+  static constexpr double kEps = 1e-12;
+
+  double EarliestSlot(double ready, double duration) const {
+    double cursor = ready;
+    auto it = std::find_if(ivs_.begin(), ivs_.end(),
+                           [&](const Iv& iv) { return cursor < iv.end; });
+    if (ends_sorted_) {
+      EXPECT_EQ(it, std::upper_bound(
+                        ivs_.begin(), ivs_.end(), cursor,
+                        [](double t, const Iv& iv) { return t < iv.end; }));
+    }
+    for (; it != ivs_.end(); ++it) {
+      if (it->start - cursor >= duration - kEps) return cursor;
+      cursor = std::max(cursor, it->end);
+    }
+    return cursor;
+  }
+
+  // Commit's overlap verdict: "previous" or "next" when the nearest
+  // positive-width neighbour on that side overlaps by more than kEps, ""
+  // when the interval may be committed.
+  std::string Conflict(double start, double duration) const {
+    if (duration <= 0.0) return "";
+    const Iv iv{start, start + duration};
+    const size_t at = Position(iv);
+    for (size_t k = at; k-- > 0;) {
+      if (ivs_[k].end - ivs_[k].start <= 0.0) continue;
+      if (ivs_[k].end > iv.start + kEps) return "previous";
+      break;
+    }
+    for (size_t k = at; k < ivs_.size(); ++k) {
+      if (ivs_[k].end - ivs_[k].start <= 0.0) continue;
+      if (iv.end > ivs_[k].start + kEps) return "next";
+      break;
+    }
+    return "";
+  }
+
+  // Whether committing keeps the ends sorted in (start, end) order. A
+  // zero-width interval placed less than kEps after the start of a longer
+  // one nests inside it and does not.
+  bool KeepsEndsSorted(double start, double duration) const {
+    const Iv iv{start, start + duration};
+    const size_t at = Position(iv);
+    return (at == 0 || ivs_[at - 1].end <= iv.end) &&
+           (at == ivs_.size() || iv.end <= ivs_[at].end);
+  }
+
+  void Commit(double start, double duration) {
+    ends_sorted_ = ends_sorted_ && KeepsEndsSorted(start, duration);
+    const Iv iv{start, start + duration};
+    ivs_.insert(ivs_.begin() + static_cast<std::ptrdiff_t>(Position(iv)), iv);
+  }
+
+  size_t size() const { return ivs_.size(); }
+  // Boundaries to aim queries at: the start or the end of interval i.
+  double start(size_t i) const { return ivs_[i].start; }
+  double end(size_t i) const { return ivs_[i].end; }
+
+ private:
+  struct Iv {
+    double start, end;
+  };
+  size_t Position(const Iv& iv) const {
+    return static_cast<size_t>(
+        std::lower_bound(ivs_.begin(), ivs_.end(), iv,
+                         [](const Iv& a, const Iv& b) {
+                           if (a.start != b.start) return a.start < b.start;
+                           return a.end < b.end;
+                         }) -
+        ivs_.begin());
+  }
+  std::vector<Iv> ivs_;
+  bool ends_sorted_ = true;
+};
+
+// Commits `duration` at `start` on both timelines when the reference accepts
+// it, and checks that the indexed one rejects exactly what the reference
+// rejects, naming the same side.
+void CommitBoth(DeviceTimeline& t, LinearTimeline& ref, double start,
+                double duration, OpId op) {
+  const std::string conflict = ref.Conflict(start, duration);
+  if (conflict.empty()) {
+    ASSERT_NO_THROW(t.Commit(start, duration, op)) << "at " << start;
+    ref.Commit(start, duration);
+    return;
+  }
+  try {
+    t.Commit(start, duration, op);
+    FAIL() << "overlap with the " << conflict << " interval accepted at "
+           << start;
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find(conflict), std::string::npos)
+        << e.what();
+  }
+}
+
+// Thousands of random commits, split into many chunks, with the query
+// answer checked against the reference before every one. Queries aim at
+// random times, at exact interval boundaries (coincident starts) and within
+// a few kEps of them; durations are zero, short, an existing gap give or
+// take kEps, or too long for any gap. With keep_ends_sorted, commits that
+// would nest an interval inside another are left out, so the sweep stays on
+// the binary-search path DPOS takes; without it, the first such commit moves
+// the timeline to its scan path.
+void RandomSweep(uint64_t seed, bool keep_ends_sorted) {
+  constexpr double kEps = LinearTimeline::kEps;
+  Rng rng(seed);
+  DeviceTimeline t;
+  LinearTimeline ref;
+  OpId op = 0;
+  int zero_width = 0, past_end = 0, nested = 0;
+  while (ref.size() < 6000) {
+    const size_t n = ref.size();
+    const size_t pick = n == 0 ? 0 : rng.NextBelow(n);
+    const double horizon = n == 0 ? 1.0 : ref.end(n - 1) + 1.0;
+    double ready = rng.NextDouble(0.0, horizon);
+    double duration = rng.NextDouble(0.0, 2.0);
+    if (n > 0) {
+      switch (rng.NextBelow(4)) {
+        case 0: ready = ref.start(pick); break;
+        case 1: ready = ref.end(pick); break;
+        case 2:
+          ready = (rng.NextBool(0.5) ? ref.start(pick) : ref.end(pick)) +
+                  rng.NextDouble(-3.0, 3.0) * kEps;
+          break;
+        default: break;
+      }
+      switch (rng.NextBelow(5)) {
+        case 0: duration = 0.0; break;
+        case 1:  // the gap in front of interval pick, give or take kEps
+          if (pick > 0)
+            duration = std::max(0.0, ref.start(pick) - ref.end(pick - 1) +
+                                         rng.NextDouble(-2.0, 2.0) * kEps);
+          break;
+        case 2: duration = 1e6; break;  // fits no gap
+        default: break;
+      }
+    }
+    const double slot = t.EarliestSlot(ready, duration);
+    ASSERT_EQ(slot, ref.EarliestSlot(ready, duration))
+        << "ready " << ready << " duration " << duration << " with " << n
+        << " intervals";
+    if (duration >= 1e6) {
+      EXPECT_GE(slot, ref.end(n - 1) - kEps);
+      ++past_end;
+      continue;
+    }
+    if (!ref.KeepsEndsSorted(slot, duration)) {
+      ++nested;
+      if (keep_ends_sorted) continue;
+    }
+    if (duration == 0.0) ++zero_width;
+    CommitBoth(t, ref, slot, duration, op++);
+  }
+  EXPECT_EQ(t.num_intervals(), ref.size());
+  EXPECT_GT(zero_width, 500);
+  EXPECT_GT(past_end, 500);
+  EXPECT_GT(nested, 0);  // the generator does reach nesting commits
+}
+
+TEST(Timeline, IndexedMatchesLinearScanReference) {
+  RandomSweep(2024, /*keep_ends_sorted=*/true);
+}
+
+TEST(Timeline, IndexedMatchesLinearScanReferenceAfterNesting) {
+  RandomSweep(2025, /*keep_ends_sorted=*/false);
+}
+
+TEST(Timeline, FindsTheOnlyGapWhereverItSits) {
+  // 400 unit intervals back to back with one 0.5 gap, in front of interval
+  // k, for every k: wherever the chunk boundaries fall, some k puts the gap
+  // in front of a chunk's first interval, where no chunk's bound covers it.
+  for (int k = 1; k < 400; ++k) {
+    DeviceTimeline t;
+    for (int i = 0; i < 400; ++i)
+      t.Commit(i < k ? i : i + 0.5, 1.0, i);
+    const double gap = k;  // the gap is [k, k + 0.5]
+    ASSERT_EQ(t.EarliestSlot(0.0, 0.5), gap) << "k " << k;
+    ASSERT_EQ(t.EarliestSlot(gap, 0.5), gap) << "k " << k;
+    ASSERT_EQ(t.EarliestSlot(gap - 0.5, 0.5), gap) << "k " << k;
+    ASSERT_EQ(t.EarliestSlot(0.0, 0.6), 400.5) << "k " << k;
+  }
+}
+
+TEST(Timeline, OverlapChecksLookAcrossChunks) {
+  // Unit intervals [3i, 3i+1], each with a zero-width interval 0.1 before
+  // and after it, so every nearest positive-width neighbour sits behind a
+  // zero-width one. Probing an overlap at every interval puts the
+  // conflicting neighbour on the far side of many chunk boundaries.
+  DeviceTimeline t;
+  LinearTimeline ref;
+  OpId op = 0;
+  for (int i = 0; i < 400; ++i) {
+    const double s = 3.0 * i;
+    CommitBoth(t, ref, s - 0.1, 0.0, op++);
+    CommitBoth(t, ref, s, 1.0, op++);
+    CommitBoth(t, ref, s + 1.1, 0.0, op++);
+  }
+  for (int i = 1; i < 400; ++i) {
+    const double s = 3.0 * i;
+    ASSERT_EQ(ref.Conflict(s - 0.5, 1.0), "next");
+    CommitBoth(t, ref, s - 0.5, 1.0, op++);  // runs into interval i
+    ASSERT_EQ(ref.Conflict(s + 0.5, 1.0), "previous");
+    CommitBoth(t, ref, s + 0.5, 1.0, op++);  // starts inside interval i
+    // Neighbours within kEps are not overlaps.
+    CommitBoth(t, ref, s - 1.0 + 0.5 * LinearTimeline::kEps,
+               1.0 - LinearTimeline::kEps, op++);
+  }
+  EXPECT_EQ(t.num_intervals(), ref.size());
+  for (double ready : {0.0, 1.05, 299.0, 700.5, 1500.0})
+    for (double duration : {0.0, 0.05, 0.9, 1.0, 5.0})
+      EXPECT_EQ(t.EarliestSlot(ready, duration),
+                ref.EarliestSlot(ready, duration));
+}
+
 // ---- rank_u -----------------------------------------------------------------
 
 Operation NamedOp(const std::string& name, TensorShape shape = TensorShape{4}) {

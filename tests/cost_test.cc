@@ -71,6 +71,28 @@ TEST(CompCost, BasisFallbackScales) {
   EXPECT_NEAR(m.EstimateOrExplore(sub, 2), 0.008, 1e-12);
 }
 
+TEST(CompCost, EstimateRowKeepsTheEstimationOrder) {
+  // Device 0: exact profile and basis (exact wins); 1: basis only (scaled);
+  // 2: nothing (explore at 0).
+  CompCostModel m;
+  m.AddSample("conv1#batch/2", 0, 0.008);
+  m.AddSample("conv1", 0, 0.010);
+  m.AddSample("conv1", 1, 0.012);
+  Operation sub;
+  sub.name = "conv1/part0";
+  sub.cost_key = "conv1#batch/2";
+  sub.cost_basis_key = "conv1";
+  sub.cost_scale = 0.5;
+  double row[3] = {-1.0, -1.0, -1.0};
+  m.EstimateRow(sub, 3, row);
+  EXPECT_EQ(row[0], m.EstimateOrExplore(sub, 0));
+  EXPECT_EQ(row[1], m.EstimateOrExplore(sub, 1));
+  EXPECT_EQ(row[2], m.EstimateOrExplore(sub, 2));
+  EXPECT_NEAR(row[0], 0.008, 1e-12);
+  EXPECT_NEAR(row[1], 0.006, 1e-12);
+  EXPECT_EQ(row[2], 0.0);
+}
+
 TEST(CompCost, MaxTimeOverDevices) {
   CompCostModel m;
   m.AddSample("op", 0, 0.003);

@@ -339,7 +339,7 @@ int CmdRun(const Args& args) {
               SamplesPerSecond(ft), ft.iteration_s * 1e3,
               ft.final_sim.oom ? ", OOM!" : "");
   std::printf("  pre-training: %d rounds, %d rollbacks, %.1f s simulated "
-              "strategy time, %.3f s algorithm CPU\n",
+              "strategy time, %.3f s algorithm wall time\n",
               ft.rounds, ft.rollbacks, ft.strategy_time_s,
               ft.algorithm_time_s);
   std::printf("  bootstrap: %s; splits: %zu\n",
