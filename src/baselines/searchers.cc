@@ -333,20 +333,20 @@ SearchResult AnnealingSearch(const ModelBuildFn& build,
                                            cluster.num_devices(),
                                            Scaling::kStrong);
   result.global_batch = dp.global_batch;
-  result.graph = dp.graph;
   Rng rng(options.seed * 131 + 3);
   const SearchDeadline deadline(options.wall_budget_s);
 
   // Current state: graph (splits applied) + placement + the split list that
   // produced the graph. Start from canonical data parallelism — the same
-  // warm start FlexFlow's search uses.
-  Graph current_graph = result.graph;
+  // warm start FlexFlow's search uses. current_graph is always dp.graph
+  // with current_splits applied in order (rejected trials are undone), so
+  // the best graph is rebuilt from best_splits at the end, not copied.
+  Graph current_graph = dp.graph;
   auto current_placement = CanonicalDataParallelPlacement(dp);
   std::vector<SplitDecision> current_splits;
   double current =
       Evaluate(current_graph, current_placement, cluster, options,
                &result.evaluations);
-  Graph best_graph = current_graph;
   auto best_placement = current_placement;
   auto best_splits = current_splits;
   double best = current;
@@ -363,26 +363,29 @@ SearchResult AnnealingSearch(const ModelBuildFn& build,
                             std::max(1, options.budget);
     const double temperature = t0 * (1.0 - progress);
 
-    Graph trial_graph = current_graph;
+    // The trial rewrites current_graph in place under a journal mark:
+    // committed if accepted, undone if rejected, so no iteration copies the
+    // graph (most only move one op and leave the graph unedited).
+    const size_t mark = current_graph.Mark();
     auto trial_placement = current_placement;
     auto trial_splits = current_splits;
     const bool try_split = rng.NextBool(0.15);
     bool mutated = false;
     if (try_split) {
       // Split a random compute-bound op along a random legal dimension.
-      const auto live = trial_graph.LiveOps();
+      const auto live = current_graph.LiveOps();
       for (int attempt = 0; attempt < 16 && !mutated; ++attempt) {
         const OpId op = live[rng.NextBelow(live.size())];
-        const auto dims = ParallelizableDims(trial_graph.op(op).type);
-        if (dims.empty() || !IsComputeBound(trial_graph.op(op).type))
+        const auto dims = ParallelizableDims(current_graph.op(op).type);
+        if (dims.empty() || !IsComputeBound(current_graph.op(op).type))
           continue;
         const SplitDim dim = dims[rng.NextBelow(dims.size())];
         const int n = 2 << rng.NextBelow(2);  // 2 or 4
-        if (!CanSplit(trial_graph, op, dim, n)) continue;
-        trial_splits.push_back({trial_graph.op(op).name, dim, n});
-        const auto split = SplitOperation(trial_graph, op, dim, n);
+        if (!CanSplit(current_graph, op, dim, n)) continue;
+        trial_splits.push_back({current_graph.op(op).name, dim, n});
+        const auto split = SplitOperation(current_graph, op, dim, n);
         trial_placement.resize(
-            static_cast<size_t>(trial_graph.num_slots()), 0);
+            static_cast<size_t>(current_graph.num_slots()), 0);
         const DeviceId home = trial_placement[static_cast<size_t>(op)];
         for (OpId sub : split.sub_ops)
           trial_placement[static_cast<size_t>(sub)] = static_cast<DeviceId>(
@@ -395,38 +398,42 @@ SearchResult AnnealingSearch(const ModelBuildFn& build,
       }
     }
     if (!mutated) {
-      const auto live = trial_graph.LiveOps();
+      const auto live = current_graph.LiveOps();
       const OpId victim = live[rng.NextBelow(live.size())];
       trial_placement[static_cast<size_t>(victim)] = static_cast<DeviceId>(
           rng.NextBelow(static_cast<uint64_t>(cluster.num_devices())));
-      ApplyColocation(trial_graph, trial_placement);
+      ApplyColocation(current_graph, trial_placement);
     }
 
-    const double score = Evaluate(trial_graph, trial_placement, cluster,
+    const double score = Evaluate(current_graph, trial_placement, cluster,
                                   options, &result.evaluations);
     const double relative = (score - current) / std::max(current, 1e-9);
     if (score < current ||
         (temperature > 0.0 &&
          rng.NextBool(std::exp(-relative / temperature)))) {
+      current_graph.Commit(mark);
       current = score;
-      current_graph = std::move(trial_graph);
       current_placement = std::move(trial_placement);
       current_splits = std::move(trial_splits);
       if (current < best) {
         best = current;
-        best_graph = current_graph;
         best_placement = current_placement;
         best_splits = current_splits;
         since_improvement = 0;
         continue;
       }
+    } else {
+      current_graph.Undo(mark);
     }
     if (options.patience > 0 && ++since_improvement >= options.patience) {
       result.stop_reason = "converged";
       break;
     }
   }
-  result.graph = std::move(best_graph);
+  result.graph = std::move(dp.graph);
+  for (const SplitDecision& s : best_splits)
+    SplitOperation(result.graph, result.graph.FindOp(s.op_name), s.dim,
+                   s.num_splits);
   result.placement = std::move(best_placement);
   result.splits = std::move(best_splits);
   result.iteration_s = best;

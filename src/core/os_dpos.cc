@@ -59,6 +59,12 @@ OsDposResult OsDpos(const Graph& g, const Cluster& cluster,
   const std::vector<int> counts = CandidateSplitCounts(cluster.num_devices());
   if (counts.empty()) return result;
 
+  // Trials rewrite scratch graphs in place and roll them back: one scratch
+  // graph per lane, copied from result.graph by the lane itself the first
+  // time it runs and kept equal to result.graph afterwards (every commit
+  // below is applied to it too). A trial is Mark -> SplitOperation -> Dpos
+  // -> Undo, so no trial copies or frees a graph.
+  TaggedVector<Graph> lanes{TaggedAlloc<Graph>(MemTag::kDpos)};
   int probed = 0;
   for (OpId op : cp) {
     if (static_cast<int>(result.splits.size()) >= options.max_splits) break;
@@ -71,17 +77,17 @@ OsDposResult OsDpos(const Graph& g, const Cluster& cluster,
     // built serially (dims outer, counts inner — the serial probe order),
     // each trial evaluated independently into its own slot, and the winner
     // reduced serially in trial order with the same strict `<`, so the
-    // committed split is identical for any --jobs value. Each trial is a
-    // full graph copy + rewrite + Dpos, which is exactly the coarse-grained
-    // work that amortizes thread hand-off.
+    // committed split is identical for any --jobs value. The trials run in
+    // at most min(trials, jobs) lanes, each taking a contiguous range of
+    // them; inside a pool worker, where ParallelFor runs serially anyway,
+    // one lane runs them all.
     struct Trial {
       SplitDim dim = SplitDim::kNone;
       int n = 0;
       bool viable = false;
-      Graph graph;
       DposResult sched;
     };
-    std::vector<Trial> trials;
+    TaggedVector<Trial> trials{TaggedAlloc<Trial>(MemTag::kDpos)};
     for (SplitDim dim : ParallelizableDims(result.graph.op(op).type)) {
       for (int n : counts) {
         if (!CanSplit(result.graph, op, dim, n)) continue;
@@ -91,26 +97,37 @@ OsDposResult OsDpos(const Graph& g, const Cluster& cluster,
         trials.push_back(std::move(t));
       }
     }
-    ParallelFor(trials.size(), [&](size_t i) {
-      FASTT_TRACE_SPAN("osdpos/trial");
-      ScopedLatencyRef latency(metrics, trial_latency);
-      Trial& t = trials[i];
-      Graph trial = result.graph;
-      SplitOperation(trial, op, t.dim, t.n);
-      DposResult sched = Dpos(trial, cluster, comp, comm, options.dpos);
-      if (sched.memory_overflow) return;
-      t.viable = true;
-      t.graph = std::move(trial);
-      t.sched = std::move(sched);
+    const size_t width =
+        ThreadPool::InWorker()
+            ? std::min<size_t>(trials.size(), 1)
+            : std::min(trials.size(), static_cast<size_t>(SearchJobs()));
+    if (lanes.size() < width) lanes.resize(width);
+    ParallelFor(width, [&](size_t lane) {
+      Graph& scratch = lanes[lane];
+      if (scratch.num_slots() == 0) {
+        FASTT_TRACE_SPAN("osdpos/scratch");
+        scratch = result.graph;
+      }
+      const size_t begin = lane * trials.size() / width;
+      const size_t end = (lane + 1) * trials.size() / width;
+      for (size_t i = begin; i < end; ++i) {
+        FASTT_TRACE_SPAN("osdpos/trial");
+        ScopedLatencyRef latency(metrics, trial_latency);
+        Trial& t = trials[i];
+        const size_t mark = scratch.Mark();
+        SplitOperation(scratch, op, t.dim, t.n);
+        DposResult sched = Dpos(scratch, cluster, comp, comm, options.dpos);
+        scratch.Undo(mark);
+        if (sched.memory_overflow) continue;
+        t.viable = true;
+        t.sched = std::move(sched);
+      }
     });
     result.probes += static_cast<int>(trials.size());
-    // Trial copies peak here; sample the live-bytes tracks once per probe.
+    // Every trial's schedule is held until the reduction below; sample the
+    // live-bytes tracks once per probe.
     EmitMemTraceCounters();
 
-    // Snapshot the trial table before the winner loop below moves the
-    // winning trial's graph/schedule out from under it; the winner's
-    // `committed` bit is patched once it is known.
-    size_t first_record = result.trials.size();
     if (options.dpos.record_provenance) {
       for (const Trial& t : trials) {
         SplitTrialRecord rec;
@@ -124,36 +141,40 @@ OsDposResult OsDpos(const Graph& g, const Cluster& cluster,
       }
     }
 
+    size_t best = trials.size();
     double best_ft = ft_old;
-    Graph best_graph;
-    DposResult best_schedule;
-    SplitDecision best_decision;
-    bool improved = false;
-    size_t best_index = trials.size();
     for (size_t ti = 0; ti < trials.size(); ++ti) {
-      Trial& t = trials[ti];
-      if (!t.viable) continue;
-      if (t.sched.ft_exit < best_ft) {
+      const Trial& t = trials[ti];
+      if (t.viable && t.sched.ft_exit < best_ft) {
         best_ft = t.sched.ft_exit;
-        best_graph = std::move(t.graph);
-        best_schedule = std::move(t.sched);
-        best_decision = SplitDecision{result.graph.op(op).name, t.dim, t.n};
-        improved = true;
-        best_index = ti;
+        best = ti;
       }
     }
-    if (options.dpos.record_provenance && improved)
-      result.trials[first_record + best_index].committed = true;
+    // Paper's early exit: stop at the first non-improving CP op.
+    if (best == trials.size()) break;
+    if (options.dpos.record_provenance)
+      result.trials[result.trials.size() - trials.size() + best].committed =
+          true;
 
-    if (improved) {
-      ft_old = best_ft;
-      result.graph = std::move(best_graph);
-      result.schedule = std::move(best_schedule);
-      result.splits.push_back(std::move(best_decision));
-    } else {
-      break;  // paper's early exit: stop at the first non-improving CP op
-    }
+    // Commit by re-running the winning rewrite. SplitOperation is a pure
+    // function of the graph, so result.graph gets the slot ids the winning
+    // trial's schedule refers to, and every scratch graph stays equal to
+    // result.graph.
+    const Trial& win = trials[best];
+    result.splits.push_back(
+        SplitDecision{result.graph.op(op).name, win.dim, win.n});
+    SplitOperation(result.graph, op, win.dim, win.n);
+    for (Graph& scratch : lanes)
+      if (scratch.num_slots() != 0)
+        SplitOperation(scratch, op, win.dim, win.n);
+    ft_old = best_ft;
+    result.schedule = std::move(trials[best].sched);
   }
+  // Each lane frees its own scratch graph, as it copied it.
+  ParallelFor(lanes.size(), [&](size_t lane) {
+    FASTT_TRACE_SPAN("osdpos/scratch");
+    lanes[lane] = Graph();
+  });
 
   result.schedule.strategy.splits = result.splits;
   metrics.AddCounter("os_dpos/split_probes",

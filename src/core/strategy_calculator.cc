@@ -10,6 +10,7 @@
 #include "sim/profiler.h"
 #include "util/check.h"
 #include "util/strings.h"
+#include "util/thread_pool.h"
 
 namespace fastt {
 namespace {
@@ -18,6 +19,41 @@ using Clock = std::chrono::steady_clock;
 
 double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+// One simulated step's outputs, written into its own slot by SimulateSteps.
+struct Step {
+  double makespan = 0.0;
+  bool oom = false;
+  RunProfile profile;  // filled when the caller feeds the cost models
+  SimResult sim;       // kept for the last step only
+};
+
+// Runs `iters` independent simulated steps of (graph, placement, order),
+// step i seeded with seed + i * seed_stride, through ParallelFor into
+// per-index slots. Callers fold the slots serially in index order, so every
+// number they derive is the same for any --jobs value.
+std::vector<Step> SimulateSteps(const Graph& g,
+                                const std::vector<DeviceId>& placement,
+                                const std::vector<int64_t>& priorities,
+                                DispatchMode dispatch, const Cluster& cluster,
+                                int iters, double noise_cv, uint64_t seed,
+                                uint64_t seed_stride, bool extract_profile) {
+  std::vector<Step> steps(static_cast<size_t>(std::max(iters, 0)));
+  ParallelFor(steps.size(), [&](size_t i) {
+    SimOptions options;
+    options.dispatch = dispatch;
+    options.priorities = priorities;
+    options.noise_cv = noise_cv;
+    options.seed = seed + static_cast<uint64_t>(i) * seed_stride;
+    SimResult sim = Simulate(g, placement, cluster, options);
+    Step& step = steps[i];
+    step.makespan = sim.makespan;
+    step.oom = sim.oom;
+    if (extract_profile) step.profile = ExtractProfile(g, sim);
+    if (i + 1 == steps.size()) step.sim = std::move(sim);
+  });
+  return steps;
 }
 
 // Runs `iters` profiled steps of (graph, placement, order) on the simulated
@@ -30,21 +66,17 @@ double ProfileSteps(const Graph& g, const std::vector<DeviceId>& placement,
                     double noise_cv, uint64_t seed, CompCostModel& comp,
                     CommCostModel& comm, double* wall,
                     bool* oom = nullptr, SimResult* last = nullptr) {
+  std::vector<Step> steps =
+      SimulateSteps(g, placement, priorities, dispatch, cluster, iters,
+                    noise_cv, seed, 7919, true);
   double total = 0.0;
-  for (int i = 0; i < iters; ++i) {
-    SimOptions options;
-    options.dispatch = dispatch;
-    options.priorities = priorities;
-    options.noise_cv = noise_cv;
-    options.seed = seed + static_cast<uint64_t>(i) * 7919;
-    SimResult sim = Simulate(g, placement, cluster, options);
-    const RunProfile profile = ExtractProfile(g, sim);
-    comp.AddProfile(profile);
-    comm.AddProfile(profile);
-    total += sim.makespan;
-    if (oom && sim.oom) *oom = true;
-    if (last) *last = std::move(sim);
+  for (const Step& step : steps) {
+    comp.AddProfile(step.profile);
+    comm.AddProfile(step.profile);
+    total += step.makespan;
+    if (oom && step.oom) *oom = true;
   }
+  if (last && !steps.empty()) *last = std::move(steps.back().sim);
   if (wall) *wall += total;
   return total / iters;
 }
@@ -54,17 +86,12 @@ double MeasureSteps(const Graph& g, const std::vector<DeviceId>& placement,
                     const std::vector<int64_t>& priorities,
                     DispatchMode dispatch, const Cluster& cluster, int iters,
                     double noise_cv, uint64_t seed, SimResult* last) {
+  std::vector<Step> steps =
+      SimulateSteps(g, placement, priorities, dispatch, cluster, iters,
+                    noise_cv, seed + 1000003, 104729, false);
   double total = 0.0;
-  for (int i = 0; i < iters; ++i) {
-    SimOptions options;
-    options.dispatch = dispatch;
-    options.priorities = priorities;
-    options.noise_cv = noise_cv;
-    options.seed = seed + 1000003 + static_cast<uint64_t>(i) * 104729;
-    const SimResult sim = Simulate(g, placement, cluster, options);
-    total += sim.makespan;
-    if (last) *last = sim;
-  }
+  for (const Step& step : steps) total += step.makespan;
+  if (last && !steps.empty()) *last = std::move(steps.back().sim);
   return total / iters;
 }
 

@@ -21,6 +21,7 @@ OpId Graph::AddOp(Operation op) {
   out_edges_.emplace_back(TaggedAlloc<EdgeId>(MemTag::kGraph));
   in_edges_.emplace_back(TaggedAlloc<EdgeId>(MemTag::kGraph));
   ++num_live_;
+  Record(JournalEntry::Kind::kAddOp, id);
   return id;
 }
 
@@ -38,6 +39,7 @@ EdgeId Graph::AddEdge(OpId src, OpId dst, int64_t bytes) {
   edges_.push_back(e);
   out_edges_[src].push_back(e.id);
   in_edges_[dst].push_back(e.id);
+  Record(JournalEntry::Kind::kAddEdge, e.id);
   return e.id;
 }
 
@@ -47,13 +49,80 @@ void Graph::RemoveOp(OpId id) {
   op.dead = true;
   --num_live_;
   by_name_.erase(op.name);
-  for (EdgeId e : out_edges_[id]) edges_[e].dead = true;
-  for (EdgeId e : in_edges_[id]) edges_[e].dead = true;
+  Record(JournalEntry::Kind::kKillOp, id);
+  for (EdgeId e : out_edges_[id]) RemoveEdge(e);
+  for (EdgeId e : in_edges_[id]) RemoveEdge(e);
 }
 
 void Graph::RemoveEdge(EdgeId id) {
   FASTT_CHECK(id >= 0 && id < static_cast<EdgeId>(edges_.size()));
+  // Only a live -> dead transition is journaled: undoing it must not revive
+  // an edge that was already dead at the mark.
+  if (edges_[id].dead) return;
   edges_[id].dead = true;
+  Record(JournalEntry::Kind::kKillEdge, id);
+}
+
+void Graph::SetColocateWith(OpId id, OpId target) {
+  Operation& op = mutable_op(id);
+  Record(JournalEntry::Kind::kColocate, id, op.colocate_with);
+  op.colocate_with = target;
+}
+
+size_t Graph::Mark() {
+  marks_.push_back(journal_.size());
+  return marks_.size() - 1;
+}
+
+void Graph::Undo(size_t mark) {
+  FASTT_CHECK_MSG(mark + 1 == marks_.size(),
+                  "Undo of a mark that is not innermost");
+  const size_t begin = marks_.back();
+  marks_.pop_back();
+  while (journal_.size() > begin) {
+    const JournalEntry e = journal_.back();
+    journal_.pop_back();
+    switch (e.kind) {
+      case JournalEntry::Kind::kAddOp:
+        // Every edit after this op's AddOp is already undone: it is the
+        // last slot, live, with empty edge lists.
+        FASTT_CHECK(e.id == num_slots() - 1);
+        by_name_.erase(ops_.back().name);
+        ops_.pop_back();
+        out_edges_.pop_back();
+        in_edges_.pop_back();
+        --num_live_;
+        break;
+      case JournalEntry::Kind::kAddEdge: {
+        FASTT_CHECK(e.id == num_edge_slots() - 1);
+        const Edge& edge = edges_.back();
+        out_edges_[static_cast<size_t>(edge.src)].pop_back();
+        in_edges_[static_cast<size_t>(edge.dst)].pop_back();
+        edges_.pop_back();
+        break;
+      }
+      case JournalEntry::Kind::kKillOp: {
+        Operation& op = ops_[static_cast<size_t>(e.id)];
+        op.dead = false;
+        ++num_live_;
+        by_name_.emplace(op.name, e.id);
+        break;
+      }
+      case JournalEntry::Kind::kKillEdge:
+        edges_[static_cast<size_t>(e.id)].dead = false;
+        break;
+      case JournalEntry::Kind::kColocate:
+        ops_[static_cast<size_t>(e.id)].colocate_with = e.old;
+        break;
+    }
+  }
+}
+
+void Graph::Commit(size_t mark) {
+  FASTT_CHECK_MSG(mark + 1 == marks_.size(),
+                  "Commit of a mark that is not innermost");
+  marks_.pop_back();
+  if (marks_.empty()) journal_.clear();
 }
 
 int64_t Graph::num_live_edges() const {

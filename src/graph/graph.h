@@ -3,7 +3,9 @@
 // This is the structure every FastT algorithm consumes — ranks (§5.1), DPOS
 // device selection, OS-DPOS splitting (§5.2) — and the structure the
 // simulator executes. Rewrites tombstone nodes/edges rather than renumbering,
-// so OpIds remain stable across SplitOperation calls.
+// so OpIds remain stable across SplitOperation calls, and the graph's own
+// mutators can be undone: OS-DPOS split trials and the annealing searcher
+// rewrite one graph in place and roll it back instead of copying it.
 #pragma once
 
 #include <cstdint>
@@ -20,8 +22,9 @@ namespace fastt {
 using EdgeId = int32_t;
 
 // Graph storage is charged to MemTag::kGraph regardless of which subsystem
-// constructs or copies the graph (OS-DPOS trial copies included) — the
-// allocator is fixed per-member, not taken from the ambient scope.
+// constructs or copies the graph (OS-DPOS scratch graphs and the undo
+// journal included) — the allocator is fixed per-member, not taken from the
+// ambient scope.
 using EdgeIdList = TaggedVector<EdgeId>;
 
 struct Edge {
@@ -53,6 +56,26 @@ class Graph {
   // Tombstones an op and every edge touching it.
   void RemoveOp(OpId id);
   void RemoveEdge(EdgeId id);
+
+  // Points op `id`'s colocation constraint at `target` (kInvalidOp clears
+  // it). The journaled way to rewrite colocate_with.
+  void SetColocateWith(OpId id, OpId target);
+
+  // ---- Undo journal --------------------------------------------------------
+  //
+  // Mark() opens a journal of every edit this class's mutators make
+  // (AddOp, AddEdge, RemoveOp, RemoveEdge, SetColocateWith) and returns a
+  // handle. Undo(mark) reverts the edits made since that Mark(), newest
+  // first, and leaves the graph equal to what it was then: the same slots,
+  // every op's in- and out-edge list in the same order, the same dead
+  // flags, live count and colocation targets, and the same FindOp answer
+  // for every name. Commit(mark) keeps the edits; inside an outer mark they
+  // stay journaled, so the outer Undo still reverts them. Marks close
+  // innermost first. Edits made through mutable_op() are not journaled.
+  // With no mark open the mutators record nothing.
+  size_t Mark();
+  void Undo(size_t mark);
+  void Commit(size_t mark);
 
   // ---- Access ------------------------------------------------------------
 
@@ -114,6 +137,20 @@ class Graph {
                          std::equal_to<std::string>,
                          TaggedAlloc<std::pair<const std::string, OpId>>>;
 
+  // One journaled edit. kAddOp/kAddEdge are undone by truncation (they are
+  // always the newest slot when their entry is reached), the kill entries
+  // by clearing the dead flag they set, kColocate by restoring `old`.
+  struct JournalEntry {
+    enum class Kind : uint8_t { kAddOp, kAddEdge, kKillOp, kKillEdge,
+                                kColocate };
+    Kind kind = Kind::kAddOp;
+    int32_t id = -1;  // op or edge id
+    OpId old = kInvalidOp;
+  };
+  void Record(JournalEntry::Kind kind, int32_t id, OpId old = kInvalidOp) {
+    if (!marks_.empty()) journal_.push_back({kind, id, old});
+  }
+
   std::string name_;
   TaggedVector<Operation> ops_{TaggedAlloc<Operation>(MemTag::kGraph)};
   TaggedVector<Edge> edges_{TaggedAlloc<Edge>(MemTag::kGraph)};
@@ -121,6 +158,10 @@ class Graph {
   TaggedVector<EdgeIdList> in_edges_{TaggedAlloc<EdgeIdList>(MemTag::kGraph)};
   NameMap by_name_{NameMap::allocator_type(MemTag::kGraph)};
   int32_t num_live_ = 0;
+  TaggedVector<JournalEntry> journal_{
+      TaggedAlloc<JournalEntry>(MemTag::kGraph)};
+  // journal_ size at each open Mark(), outermost first.
+  TaggedVector<size_t> marks_{TaggedAlloc<size_t>(MemTag::kGraph)};
 };
 
 }  // namespace fastt

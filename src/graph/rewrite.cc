@@ -146,9 +146,10 @@ SplitResult SplitOperation(Graph& g, OpId op_id, SplitDim dim, int n) {
   }
 
   // Ops colocated with the vanished original follow its first partition.
-  for (OpId id : g.LiveOps()) {
-    if (g.op(id).colocate_with == op_id)
-      g.mutable_op(id).colocate_with = result.sub_ops.front();
+  for (OpId id = 0; id < g.num_slots(); ++id) {
+    const Operation& o = g.op(id);
+    if (!o.dead && o.colocate_with == op_id)
+      g.SetColocateWith(id, result.sub_ops.front());
   }
 
   // ---- concat feeding the successors --------------------------------------

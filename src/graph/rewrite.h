@@ -25,7 +25,10 @@ struct SplitResult {
 bool CanSplit(const Graph& g, OpId op, SplitDim dim, int n);
 
 // Applies the rewrite in place. The original op is tombstoned. Requires
-// CanSplit(g, op, dim, n).
+// CanSplit(g, op, dim, n). Every edit goes through the graph's journaled
+// mutators, so a Graph::Mark() taken before the call undoes the whole
+// rewrite, and the rewrite is a pure function of the graph: applied to two
+// equal graphs it yields equal graphs with the same new slot ids.
 //
 // Cost semantics of the produced nodes:
 //  * sub-op i performs size_i/extent of the original FLOPs and carries a

@@ -3,7 +3,7 @@
 //
 // The simulator accounts *simulated device* memory; nothing accounted the
 // *host* heap the search itself burns — the Graph's pointer-heavy storage,
-// the simulator's event churn, OS-DPOS trial copies, cost-table snapshots.
+// the simulator's event churn, OS-DPOS scratch graphs, cost-table snapshots.
 // This facility is the yardstick for the planned data-layout refactor
 // (ROADMAP: SoA/CSR graphs, pooled events): it must show the rewrite wins
 // and then gate regressions in `fastt bench-diff`.

@@ -1,5 +1,6 @@
 // Strategy fingerprints: OS-DPOS output pinned bit for bit at the paper's
-// cluster sizes.
+// cluster sizes, and one annealing search (the arena racer that rewrites
+// its graph in place every iteration) pinned the same way.
 //
 // Each case builds the data-parallel input graph of a zoo model, seeds the
 // cost models from one noisy profiled step of the canonical DP placement,
@@ -19,10 +20,12 @@
 #include <cstring>
 #include <string>
 
+#include "baselines/searchers.h"
 #include "core/data_parallel.h"
 #include "core/os_dpos.h"
 #include "core/strategy_calculator.h"
 #include "core/strategy_io.h"
+#include "graph/serialize.h"
 #include "models/model_zoo.h"
 #include "sim/exec_sim.h"
 #include "sim/profiler.h"
@@ -121,6 +124,37 @@ INSTANTIATE_TEST_SUITE_P(
       return StrFormat("%s_%dx%d", info.param.model, info.param.servers,
                        info.param.gpus_per_server);
     });
+
+// Annealing keeps one graph and undoes each rejected split in place; its
+// placement, split list and objective are pinned like the OS-DPOS cases:
+// FNV-1a over the serialized placement + splits, and the bits of
+// iteration_s. The returned graph is pinned too (FNV-1a of SerializeGraph).
+TEST(AnnealingFingerprint, Alexnet1x2MatchesGolden) {
+  const ModelSpec& spec = FindModel("alexnet");
+  const Cluster cluster = Cluster::SingleServer(2);
+  SearchOptions options;
+  options.budget = 200;
+  const SearchResult sa =
+      AnnealingSearch(spec.build, spec.name, 64, cluster, options);
+
+  Strategy strategy;
+  strategy.placement = sa.placement;
+  strategy.splits = sa.splits;
+  const std::string text = SerializeStrategy(strategy);
+  const uint64_t fnv = Fnv1a(kFnvOffset, text.data(), text.size());
+  const uint64_t bits = Bits(sa.iteration_s);
+  const std::string graph_text = SerializeGraph(sa.graph);
+  const uint64_t graph_fnv =
+      Fnv1a(kFnvOffset, graph_text.data(), graph_text.size());
+  EXPECT_EQ(fnv, 0x2b89d1bb36abda90ULL) << StrFormat("new strategy_fnv 0x%016llx",
+                                      static_cast<unsigned long long>(fnv));
+  EXPECT_EQ(bits, 0x3f9c1dc19153bd56ULL)
+      << StrFormat("new iteration_bits 0x%016llx (iteration_s %.17g s)",
+                   static_cast<unsigned long long>(bits), sa.iteration_s);
+  EXPECT_EQ(graph_fnv, 0xb77a637fdb78d2afULL)
+      << StrFormat("new graph_fnv 0x%016llx",
+                   static_cast<unsigned long long>(graph_fnv));
+}
 
 }  // namespace
 }  // namespace fastt
