@@ -31,34 +31,61 @@ struct ReadyOp {
 
 }  // namespace
 
+DposInputs BuildDposInputs(const Graph& g, int32_t num_devices,
+                           const CompCostModel& comp,
+                           const CommCostModel& comm) {
+  MemTagScope mem_scope(MemTag::kDpos);
+  DposInputs in;
+  // Read-mostly cost snapshots: one model lookup per (op, device) and per
+  // device pair up front; every query the scheduler makes — including from
+  // worker threads — is an unsynchronized array read.
+  in.comp = CompCostTable(g, comp, num_devices);
+  in.comm = CommCostTable(comm, num_devices);
+  // Memoized per-slot placement memory demand (MemNeed walks successor
+  // lists; the device-selection loops ask for it O(devices · CP) times).
+  in.mem_need.assign(static_cast<size_t>(g.num_slots()), 0);
+  for (OpId id = 0; id < g.num_slots(); ++id)
+    if (!g.op(id).dead) in.mem_need[static_cast<size_t>(id)] = MemNeed(g, id);
+  FASTT_TRACE_SPAN("dpos/rank");
+  in.rank = ComputeRankU(g, in.comp, in.comm);
+  in.critical_path = CriticalPathByRank(g, in.rank);
+  return in;
+}
+
 DposResult Dpos(const Graph& g, const Cluster& cluster,
                 const CompCostModel& comp, const CommCostModel& comm,
                 const DposOptions& options) {
   // Resolve the ambient registry once; the latency histogram records
   // through an interned handle so the per-call instrumentation does no
-  // string allocation (Dpos runs once per OS-DPOS trial on pool workers).
+  // string allocation.
   MetricsRegistry& reg = CurrentMetrics();
   ScopedTimerRef total_timer(reg, reg.TimerRef("dpos/total"));
   FASTT_TRACE_SPAN("dpos/total");
   ScopedLatencyRef latency_hist(reg, reg.HistogramRef("dpos/latency_s"));
-  // Everything Dpos allocates below — scratch vectors, the ready queue, the
-  // timelines — inherits the dpos tag through the ambient scope.
+  const DposInputs inputs =
+      BuildDposInputs(g, cluster.num_devices(), comp, comm);
+  DposResult result = DposListSchedule(g, cluster, inputs, options);
+  OrderDposSchedule(g, &result);
+  return result;
+}
+
+DposResult DposListSchedule(const Graph& g, const Cluster& cluster,
+                            const DposInputs& inputs,
+                            const DposOptions& options) {
+  // Everything the scheduler allocates below — scratch vectors, the ready
+  // queue, the timelines — inherits the dpos tag through the ambient scope.
   MemTagScope mem_scope(MemTag::kDpos);
-  reg.AddCounter("dpos/invocations");
+  CurrentMetrics().AddCounter("dpos/invocations");
   const int32_t n_dev = cluster.num_devices();
   FASTT_CHECK(n_dev >= 1);
+  FASTT_CHECK(inputs.comp.num_devices() == n_dev &&
+              inputs.comp.num_slots() == g.num_slots());
   const size_t slots = static_cast<size_t>(g.num_slots());
-
-  // Read-mostly cost snapshots: one model lookup per (op, device) and per
-  // device pair up front; every query below — including from worker threads —
-  // is an unsynchronized array read.
-  const CompCostTable comp_t(g, comp, n_dev);
-  const CommCostTable comm_t(comm, n_dev);
-  // Memoized per-slot placement memory demand (MemNeed walks successor
-  // lists; the device-selection loops ask for it O(devices · CP) times).
-  TaggedVector<int64_t> mem_need(slots, 0);
-  for (OpId id : g.LiveOps())
-    mem_need[static_cast<size_t>(id)] = MemNeed(g, id);
+  const CompCostTable& comp_t = inputs.comp;
+  const CommCostTable& comm_t = inputs.comm;
+  const TaggedVector<int64_t>& mem_need = inputs.mem_need;
+  const TaggedVector<double>& rank = inputs.rank;
+  const TaggedVector<OpId>& critical_path = inputs.critical_path;
 
   // Candidate-device loops fan out across the search pool when wide enough;
   // each device writes its verdict into its own slot and the reduction runs
@@ -75,11 +102,6 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
   constexpr size_t kMinParallelScoreDevices = 16;
 
   DposResult result;
-  {
-    FASTT_TRACE_SPAN("dpos/rank");
-    result.rank = ComputeRankU(g, comp_t, comm_t);
-    result.critical_path = CriticalPathByRank(g, result.rank);
-  }
   EmitMemTraceCounters();
   result.start_time.assign(slots, 0.0);
   result.finish_time.assign(slots, 0.0);
@@ -107,7 +129,7 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
     };
     TaggedVector<CpCandidate> cands(static_cast<size_t>(n_dev));
     size_t pos = 0;
-    while (pos < result.critical_path.size()) {
+    while (pos < critical_path.size()) {
       // Per-device prefix scan, parallel across devices.
       ParallelFor(
           static_cast<size_t>(n_dev),
@@ -116,8 +138,8 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
             int64_t free = mem_budget[di] - planned_mem[di];
             double total = 0.0;
             size_t count = 0;
-            for (size_t i = pos; i < result.critical_path.size(); ++i) {
-              const OpId cp_op = result.critical_path[i];
+            for (size_t i = pos; i < critical_path.size(); ++i) {
+              const OpId cp_op = critical_path[i];
               if (mem_need[static_cast<size_t>(cp_op)] > free) break;
               free -= mem_need[static_cast<size_t>(cp_op)];
               total += comp_t.Time(cp_op, d);
@@ -148,7 +170,7 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
         break;
       }
       for (size_t i = pos; i < pos + best_count; ++i) {
-        const OpId id = result.critical_path[i];
+        const OpId id = critical_path[i];
         cp_device[static_cast<size_t>(id)] = best;
         planned_mem[static_cast<size_t>(best)] +=
             mem_need[static_cast<size_t>(id)];
@@ -171,7 +193,7 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
   std::priority_queue<ReadyOp, TaggedVector<ReadyOp>> queue;
   for (OpId id : g.LiveOps())
     if (unplaced_preds[static_cast<size_t>(id)] == 0)
-      queue.push(ReadyOp{result.rank[static_cast<size_t>(id)], id});
+      queue.push(ReadyOp{rank[static_cast<size_t>(id)], id});
 
   // Channel model mirroring the executor: one egress and one ingress copy
   // engine per device, and TF rendezvous dedup (a tensor is sent once per
@@ -415,7 +437,7 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
       if (edge.dead || g.op(edge.dst).dead) continue;
       if (--unplaced_preds[static_cast<size_t>(edge.dst)] == 0)
         queue.push(
-            ReadyOp{result.rank[static_cast<size_t>(edge.dst)], edge.dst});
+            ReadyOp{rank[static_cast<size_t>(edge.dst)], edge.dst});
     }
   }
   FASTT_CHECK_MSG(placed == static_cast<size_t>(g.num_live_ops()),
@@ -425,7 +447,15 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
   if (result.memory_overflow)
     CurrentMetrics().AddCounter("dpos/memory_overflows");
 
-  // ---- Execution order & objective ------------------------------------------
+  for (OpId id : g.LiveOps())
+    result.ft_exit =
+        std::max(result.ft_exit, result.finish_time[static_cast<size_t>(id)]);
+  result.strategy.predicted_makespan = result.ft_exit;
+  EmitMemTraceCounters();
+  return result;
+}
+
+void OrderDposSchedule(const Graph& g, DposResult* result) {
   // Sort by scheduled start time, ties broken topologically. Unknown costs
   // are priced 0, so whole chains can share one start time; a raw-id
   // tie-break then lets a consumer precede its producer (rewrites append
@@ -438,19 +468,14 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
       topo_pos[static_cast<size_t>(topo[i])] = static_cast<int64_t>(i);
   }
   std::vector<OpId> order = g.LiveOps();
+  const DposResult& r = *result;
   std::sort(order.begin(), order.end(), [&](OpId a, OpId b) {
-    const double sa = result.start_time[static_cast<size_t>(a)];
-    const double sb = result.start_time[static_cast<size_t>(b)];
+    const double sa = r.start_time[static_cast<size_t>(a)];
+    const double sb = r.start_time[static_cast<size_t>(b)];
     if (sa != sb) return sa < sb;
     return topo_pos[static_cast<size_t>(a)] < topo_pos[static_cast<size_t>(b)];
   });
-  result.strategy.execution_order = std::move(order);
-  for (OpId id : g.LiveOps())
-    result.ft_exit =
-        std::max(result.ft_exit, result.finish_time[static_cast<size_t>(id)]);
-  result.strategy.predicted_makespan = result.ft_exit;
-  EmitMemTraceCounters();
-  return result;
+  result->strategy.execution_order = std::move(order);
 }
 
 std::vector<OpId> RealizedCriticalPath(const Graph& g,

@@ -15,10 +15,12 @@
 #include "core/strategy.h"
 #include "cost/comm_cost.h"
 #include "cost/comp_cost.h"
+#include "cost/cost_table.h"
 #include "graph/graph.h"
 #include "graph/memory.h"
 #include "obs/provenance.h"
 #include "sim/cluster.h"
+#include "util/memtrack.h"
 
 namespace fastt {
 
@@ -49,8 +51,6 @@ struct DposOptions {
 struct DposResult {
   Strategy strategy;
   double ft_exit = 0.0;             // FT(o_exit), the objective
-  std::vector<double> rank;         // rank_u per slot
-  std::vector<OpId> critical_path;  // rank-based CP (placement phase)
   std::vector<double> start_time;   // ST per slot
   std::vector<double> finish_time;  // FT per slot
   // True when some op could not fit on any device (the simulator will OOM).
@@ -60,9 +60,37 @@ struct DposResult {
   std::vector<PlacementDecision> provenance;
 };
 
+// What DPOS derives from the graph and the cost models before it places an
+// op: dense cost snapshots, per-slot placement memory demand, and the
+// prioritization phase's rank_u and rank-based critical path. Dpos builds
+// them from scratch; OS-DPOS split trials derive theirs from their probe's
+// (SplitTrialInputs, os_dpos.h).
+struct DposInputs {
+  CompCostTable comp;
+  CommCostTable comm;
+  TaggedVector<int64_t> mem_need{
+      TaggedAlloc<int64_t>(MemTag::kDpos)};  // MemNeed per slot, 0 if dead
+  TaggedVector<double> rank{
+      TaggedAlloc<double>(MemTag::kDpos)};  // rank_u per slot, 0 if dead
+  TaggedVector<OpId> critical_path{
+      TaggedAlloc<OpId>(MemTag::kDpos)};  // CriticalPathByRank(rank)
+};
+
+DposInputs BuildDposInputs(const Graph& g, int32_t num_devices,
+                           const CompCostModel& comp,
+                           const CommCostModel& comm);
+
+// DPOS in three steps: build the inputs, list-schedule on them (placement,
+// start and finish times, ft_exit, memory_overflow; execution_order is left
+// empty), and order the schedule (execution_order: live ops by scheduled
+// start time, ties broken topologically).
 DposResult Dpos(const Graph& g, const Cluster& cluster,
                 const CompCostModel& comp, const CommCostModel& comm,
                 const DposOptions& options = {});
+DposResult DposListSchedule(const Graph& g, const Cluster& cluster,
+                            const DposInputs& inputs,
+                            const DposOptions& options = {});
+void OrderDposSchedule(const Graph& g, DposResult* result);
 
 // The critical path realized by a concrete schedule: backtrack from the op
 // with the largest finish time through the binding predecessor constraint.

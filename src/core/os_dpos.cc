@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "graph/memory.h"
 #include "graph/rewrite.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
@@ -23,6 +24,39 @@ std::vector<int> CandidateSplitCounts(int num_devices) {
 
 }  // namespace
 
+SplitTrialInputs::SplitTrialInputs(const Graph& g, int32_t num_devices,
+                                   const CompCostModel& comp,
+                                   const CommCostModel& comm)
+    : comp_(comp), base_(BuildDposInputs(g, num_devices, comp, comm)) {}
+
+const DposInputs& SplitTrialInputs::Derive(const Graph& g, OpId op,
+                                           Lane& lane) const {
+  MemTagScope mem_scope(MemTag::kDpos);
+  DposInputs& in = lane.inputs;
+  const OpId first_new = base_.comp.num_slots();
+  const size_t slots = static_cast<size_t>(g.num_slots());
+  in.comp.Extend(base_.comp, g, comp_, op);
+  in.comm = base_.comm;
+  ReserveExact(in.mem_need, slots);
+  in.mem_need.assign(base_.mem_need.begin(), base_.mem_need.end());
+  in.mem_need.resize(slots, 0);
+  in.mem_need[static_cast<size_t>(op)] = 0;
+  for (OpId id = first_new; id < g.num_slots(); ++id)
+    if (!g.op(id).dead) in.mem_need[static_cast<size_t>(id)] = MemNeed(g, id);
+  FASTT_TRACE_SPAN("dpos/rank");
+  ReserveExact(in.rank, slots);
+  in.rank.assign(base_.rank.begin(), base_.rank.end());
+  in.rank[static_cast<size_t>(op)] = 0.0;
+  lane.sweep.Update(g, first_new, in.comp, in.comm, in.rank);
+  in.critical_path = CriticalPathByRank(g, in.rank);
+  return in;
+}
+
+void SplitTrialInputs::Commit(const Graph& g, OpId op, Lane& lane) {
+  Derive(g, op, lane);
+  std::swap(base_, lane.inputs);
+}
+
 OsDposResult OsDpos(const Graph& g, const Cluster& cluster,
                     const CompCostModel& comp, const CommCostModel& comm,
                     const OsDposOptions& options) {
@@ -36,10 +70,26 @@ OsDposResult OsDpos(const Graph& g, const Cluster& cluster,
   MetricsRegistry& metrics = CurrentMetrics();
   const MetricsRegistry::HistogramHandle trial_latency =
       metrics.HistogramRef("osdpos/trial_latency_s");
+  const MetricsRegistry::TimerHandle dpos_total =
+      metrics.TimerRef("dpos/total");
+  const MetricsRegistry::HistogramHandle dpos_latency =
+      metrics.HistogramRef("dpos/latency_s");
+  // Each list-scheduling run (with a trial's derivation of its inputs) is
+  // timed like a Dpos call.
+  auto timed_dpos = [&](const auto& run) {
+    ScopedTimerRef timer(metrics, dpos_total);
+    FASTT_TRACE_SPAN("dpos/total");
+    ScopedLatencyRef latency(metrics, dpos_latency);
+    return run();
+  };
   metrics.AddCounter("os_dpos/invocations");
   OsDposResult result;
   result.graph = g;
-  result.schedule = Dpos(result.graph, cluster, comp, comm, options.dpos);
+  SplitTrialInputs inputs(result.graph, cluster.num_devices(), comp, comm);
+  result.schedule = timed_dpos([&] {
+    return DposListSchedule(result.graph, cluster, inputs.base(),
+                            options.dpos);
+  });
   double ft_old = result.schedule.ft_exit;
 
   // Critical path realized by the initial placement, by descending compute
@@ -57,14 +107,23 @@ OsDposResult OsDpos(const Graph& g, const Cluster& cluster,
   });
 
   const std::vector<int> counts = CandidateSplitCounts(cluster.num_devices());
-  if (counts.empty()) return result;
+  if (counts.empty()) {
+    OrderDposSchedule(result.graph, &result.schedule);
+    return result;
+  }
 
   // Trials rewrite scratch graphs in place and roll them back: one scratch
   // graph per lane, copied from result.graph by the lane itself the first
   // time it runs and kept equal to result.graph afterwards (every commit
-  // below is applied to it too). A trial is Mark -> SplitOperation -> Dpos
-  // -> Undo, so no trial copies or frees a graph.
-  TaggedVector<Graph> lanes{TaggedAlloc<Graph>(MemTag::kDpos)};
+  // below is applied to it too). A trial is Mark -> SplitOperation -> derive
+  // the inputs -> list-schedule -> Undo, so no trial copies or frees a
+  // graph or rebuilds whole-graph inputs, and no trial orders its schedule:
+  // only the returned one is.
+  struct Lane {
+    Graph graph;
+    SplitTrialInputs::Lane inputs;
+  };
+  TaggedVector<Lane> lanes{TaggedAlloc<Lane>(MemTag::kDpos)};
   int probed = 0;
   for (OpId op : cp) {
     if (static_cast<int>(result.splits.size()) >= options.max_splits) break;
@@ -102,21 +161,26 @@ OsDposResult OsDpos(const Graph& g, const Cluster& cluster,
             ? std::min<size_t>(trials.size(), 1)
             : std::min(trials.size(), static_cast<size_t>(SearchJobs()));
     if (lanes.size() < width) lanes.resize(width);
-    ParallelFor(width, [&](size_t lane) {
-      Graph& scratch = lanes[lane];
+    ParallelFor(width, [&](size_t li) {
+      Lane& lane = lanes[li];
+      Graph& scratch = lane.graph;
       if (scratch.num_slots() == 0) {
         FASTT_TRACE_SPAN("osdpos/scratch");
         scratch = result.graph;
       }
-      const size_t begin = lane * trials.size() / width;
-      const size_t end = (lane + 1) * trials.size() / width;
+      const size_t begin = li * trials.size() / width;
+      const size_t end = (li + 1) * trials.size() / width;
       for (size_t i = begin; i < end; ++i) {
         FASTT_TRACE_SPAN("osdpos/trial");
         ScopedLatencyRef latency(metrics, trial_latency);
         Trial& t = trials[i];
         const size_t mark = scratch.Mark();
         SplitOperation(scratch, op, t.dim, t.n);
-        DposResult sched = Dpos(scratch, cluster, comp, comm, options.dpos);
+        DposResult sched = timed_dpos([&] {
+          return DposListSchedule(scratch, cluster,
+                                  inputs.Derive(scratch, op, lane.inputs),
+                                  options.dpos);
+        });
         scratch.Undo(mark);
         if (sched.memory_overflow) continue;
         t.viable = true;
@@ -158,24 +222,26 @@ OsDposResult OsDpos(const Graph& g, const Cluster& cluster,
 
     // Commit by re-running the winning rewrite. SplitOperation is a pure
     // function of the graph, so result.graph gets the slot ids the winning
-    // trial's schedule refers to, and every scratch graph stays equal to
-    // result.graph.
+    // trial's schedule refers to, every scratch graph stays equal to
+    // result.graph, and the next probe's base is derived for it.
     const Trial& win = trials[best];
     result.splits.push_back(
         SplitDecision{result.graph.op(op).name, win.dim, win.n});
     SplitOperation(result.graph, op, win.dim, win.n);
-    for (Graph& scratch : lanes)
-      if (scratch.num_slots() != 0)
-        SplitOperation(scratch, op, win.dim, win.n);
+    for (Lane& lane : lanes)
+      if (lane.graph.num_slots() != 0)
+        SplitOperation(lane.graph, op, win.dim, win.n);
+    inputs.Commit(result.graph, op, lanes.front().inputs);
     ft_old = best_ft;
     result.schedule = std::move(trials[best].sched);
   }
   // Each lane frees its own scratch graph, as it copied it.
-  ParallelFor(lanes.size(), [&](size_t lane) {
+  ParallelFor(lanes.size(), [&](size_t li) {
     FASTT_TRACE_SPAN("osdpos/scratch");
-    lanes[lane] = Graph();
+    lanes[li].graph = Graph();
   });
 
+  OrderDposSchedule(result.graph, &result.schedule);
   result.schedule.strategy.splits = result.splits;
   metrics.AddCounter("os_dpos/split_probes",
                      static_cast<int64_t>(result.probes));

@@ -9,6 +9,7 @@
 #pragma once
 
 #include "core/dpos.h"
+#include "core/rank.h"
 
 namespace fastt {
 
@@ -33,6 +34,47 @@ struct OsDposResult {
   // makespan and whether it won; populated only when
   // OsDposOptions::dpos.record_provenance is set.
   std::vector<SplitTrialRecord> trials;
+};
+
+// The DPOS inputs of split trials, derived instead of rebuilt (DESIGN.md
+// §9). SplitOperation kills the split op and appends slots (its sub-ops and
+// glue ops). Every other op keeps its compute row and its MemNeed: each
+// rewired producer edge now feeds a glue op with the split op's
+// is_backward. The only ranks that can change are those of the appended
+// slots and their ancestors. So OsDpos builds the inputs of the graph it is
+// splitting once (the base), and each trial derives its own into a lane's
+// buffers: base rows, MemNeed and ranks copied, the split op's slot zeroed
+// (a dead slot reads 0, as in a fresh build), rows and MemNeed computed for
+// the appended slots, and rank_u re-swept over the appended slots and their
+// ancestors. The result equals BuildDposInputs on the trial graph bit for
+// bit (tests/property_test.cc, SplitTrialInputsSweep).
+class SplitTrialInputs {
+ public:
+  // One lane's buffers, reused across the trials it runs.
+  struct Lane {
+    DposInputs inputs;
+    RankUSweep sweep;
+  };
+
+  // The base: BuildDposInputs(g, num_devices, comp, comm). `comp` must
+  // outlive this object.
+  SplitTrialInputs(const Graph& g, int32_t num_devices,
+                   const CompCostModel& comp, const CommCostModel& comm);
+
+  const DposInputs& base() const { return base_; }
+
+  // The inputs of `g`, which is the base graph after one SplitOperation of
+  // `op`, derived into `lane`. Safe to call from several lanes at once.
+  const DposInputs& Derive(const Graph& g, OpId op, Lane& lane) const;
+
+  // `g`, the base graph with the split of `op` kept, becomes the base: its
+  // inputs are derived into `lane`, whose buffers then swap with the old
+  // base's.
+  void Commit(const Graph& g, OpId op, Lane& lane);
+
+ private:
+  const CompCostModel& comp_;
+  DposInputs base_;
 };
 
 OsDposResult OsDpos(const Graph& g, const Cluster& cluster,

@@ -1,42 +1,120 @@
 #include "core/rank.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace fastt {
+namespace {
 
-std::vector<double> ComputeRankU(const Graph& g, const CompCostModel& comp,
-                                 const CommCostModel& comm,
-                                 int32_t num_devices) {
-  return g.LongestPathFromExit(
-      [&](const Operation& op) {
-        return comp.MaxTimeOverDevices(op, num_devices);
-      },
-      [&](const Edge& e) { return comm.MaxOverPairs(e.bytes); });
+bool LiveEdge(const Graph& g, const Edge& edge) {
+  return !edge.dead && !g.op(edge.src).dead && !g.op(edge.dst).dead;
 }
 
-std::vector<double> ComputeRankU(const Graph& g, const CompCostTable& comp,
-                                 const CommCostTable& comm) {
-  return g.LongestPathFromExit(
-      [&](const Operation& op) { return comp.MaxOverDevices(op.id); },
-      [&](const Edge& e) { return comm.MaxOverPairs(e.bytes); });
+}  // namespace
+
+TaggedVector<double> ComputeRankU(const Graph& g, const CompCostTable& comp,
+                                  const CommCostTable& comm) {
+  TaggedVector<double> rank(static_cast<size_t>(g.num_slots()), 0.0);
+  RankUSweep().Update(g, 0, comp, comm, rank);
+  return rank;
 }
 
-std::vector<OpId> CriticalPathByRank(const Graph& g,
-                                     const std::vector<double>& rank) {
+TaggedVector<double> ComputeRankU(const Graph& g, const CompCostModel& comp,
+                                  const CommCostModel& comm,
+                                  int32_t num_devices) {
+  return ComputeRankU(g, CompCostTable(g, comp, num_devices),
+                      CommCostTable(comm, num_devices));
+}
+
+void RankUSweep::Update(const Graph& g, OpId first_new,
+                        const CompCostTable& comp, const CommCostTable& comm,
+                        TaggedVector<double>& rank) {
+  constexpr int32_t kOutside = -1;
+  const size_t slots = static_cast<size_t>(g.num_slots());
+  rank.resize(slots, 0.0);
+  // Every entry is kOutside between calls, so growing may drop them.
+  ReserveExact(pending_, slots);
+  pending_.resize(slots, kOutside);
+
+  // The cone: live slots from first_new on, closed under live predecessors.
+  cone_.clear();
+  for (OpId id = first_new; id < g.num_slots(); ++id) {
+    if (g.op(id).dead) continue;
+    pending_[static_cast<size_t>(id)] = 0;
+    cone_.push_back(id);
+  }
+  // (From slot 0 every live op is already in.)
+  for (size_t i = 0; first_new > 0 && i < cone_.size(); ++i) {
+    for (EdgeId e : g.in_edges(cone_[i])) {
+      const Edge& edge = g.edge(e);
+      if (!LiveEdge(g, edge)) continue;
+      int32_t& p = pending_[static_cast<size_t>(edge.src)];
+      if (p != kOutside) continue;
+      p = 0;
+      cone_.push_back(edge.src);
+    }
+  }
+  for (OpId id : cone_)
+    for (EdgeId e : g.out_edges(id)) {
+      const Edge& edge = g.edge(e);
+      if (LiveEdge(g, edge) &&
+          pending_[static_cast<size_t>(edge.dst)] != kOutside)
+        ++pending_[static_cast<size_t>(id)];
+    }
+
+  // Reverse topological sweep from the cone's sinks: an op is ranked once
+  // every consumer in the cone is; consumers outside it keep their rank.
+  // The rank step reads only final values, so the order ops become ready in
+  // does not change a bit of the result.
+  ready_.clear();
+  for (OpId id : cone_)
+    if (pending_[static_cast<size_t>(id)] == 0) ready_.push_back(id);
+  size_t ranked = 0;
+  while (!ready_.empty()) {
+    const OpId id = ready_.back();
+    ready_.pop_back();
+    ++ranked;
+    double best_succ = 0.0;
+    for (EdgeId e : g.out_edges(id)) {
+      const Edge& edge = g.edge(e);
+      if (!LiveEdge(g, edge)) continue;
+      best_succ = std::max(best_succ,
+                           comm.MaxOverPairs(edge.bytes) +
+                               rank[static_cast<size_t>(edge.dst)]);
+    }
+    rank[static_cast<size_t>(id)] = comp.MaxOverDevices(id) + best_succ;
+    for (EdgeId e : g.in_edges(id)) {
+      const Edge& edge = g.edge(e);
+      if (LiveEdge(g, edge) &&
+          --pending_[static_cast<size_t>(edge.src)] == 0)
+        ready_.push_back(edge.src);
+    }
+  }
+  for (OpId id : cone_) pending_[static_cast<size_t>(id)] = kOutside;
+  if (ranked != cone_.size())
+    throw std::logic_error("rank_u: graph " + g.name() + " has a cycle");
+}
+
+TaggedVector<OpId> CriticalPathByRank(const Graph& g,
+                                      const TaggedVector<double>& rank) {
   OpId best = kInvalidOp;
-  for (OpId id : g.LiveOps()) {
+  for (OpId id = 0; id < g.num_slots(); ++id) {
+    if (g.op(id).dead) continue;
     if (best == kInvalidOp ||
         rank[static_cast<size_t>(id)] > rank[static_cast<size_t>(best)])
       best = id;
   }
-  std::vector<OpId> path;
+  TaggedVector<OpId> path;
   while (best != kInvalidOp) {
     path.push_back(best);
+    // First live successor (in out-edge order) with the largest rank.
     OpId next = kInvalidOp;
-    for (OpId s : g.Succs(best)) {
-      if (next == kInvalidOp ||
-          rank[static_cast<size_t>(s)] > rank[static_cast<size_t>(next)])
-        next = s;
+    for (EdgeId e : g.out_edges(best)) {
+      const Edge& edge = g.edge(e);
+      if (!LiveEdge(g, edge)) continue;
+      if (next == kInvalidOp || rank[static_cast<size_t>(edge.dst)] >
+                                    rank[static_cast<size_t>(next)])
+        next = edge.dst;
     }
     best = next;
   }

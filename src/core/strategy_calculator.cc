@@ -139,11 +139,12 @@ void ProbeCommunication(const Cluster& cluster, double noise_cv,
   if (wall) *wall += sim.makespan;
 }
 
-std::vector<std::string> CostKeys(const Graph& g) {
+// The cost keys the stability rule tracks: one per live op of `g`.
+StabilityKeys CostKeys(const Graph& g) {
   std::vector<std::string> keys;
   keys.reserve(static_cast<size_t>(g.num_live_ops()));
   for (OpId id : g.LiveOps()) keys.push_back(g.op(id).CostKey());
-  return keys;
+  return StabilityKeys(keys);
 }
 
 // Ops whose device assignment differs between the incumbent and candidate
@@ -223,7 +224,6 @@ CalculatorResult RunFastT(const ModelBuildFn& build,
                           Scaling scaling, const Cluster& cluster,
                           const CalculatorOptions& options) {
   FASTT_SCOPED_TIMER("calculator/run_fastt");
-  const auto host_start = Clock::now();
   CalculatorResult result;
 
   // ---- choose the start strategy (paper §4 / §5.2) -------------------------
@@ -269,6 +269,7 @@ CalculatorResult RunFastT(const ModelBuildFn& build,
       .Int("devices", cluster.num_devices())
       .Number("simulated_s", result.strategy_time_s - probe_before_s);
   Graph current_graph = base;
+  StabilityKeys current_keys = CostKeys(current_graph);
   std::vector<DeviceId> current_placement = start_placement;
   std::vector<int64_t> current_priorities;
   DispatchMode current_dispatch = DispatchMode::kRandom;  // TF default
@@ -346,8 +347,7 @@ CalculatorResult RunFastT(const ModelBuildFn& build,
         result.round_history.push_back(summary);
         // The incumbent keeps training; the cost models saw no new profile,
         // so fold the round into the stability window and move on.
-        stability.Observe(result.comp, cluster.num_devices(),
-                          CostKeys(current_graph));
+        stability.Observe(result.comp, cluster.num_devices(), current_keys);
         if (stability.IsStable()) {
           result.events.Emit("stable").Int("round", result.rounds);
           break;
@@ -405,6 +405,7 @@ CalculatorResult RunFastT(const ModelBuildFn& build,
     if (!candidate_oom && measured <= current_measured) {
       summary.committed = true;
       current_graph = candidate.graph;
+      current_keys = CostKeys(current_graph);
       current_placement = candidate.schedule.strategy.placement;
       current_priorities = priorities;
       current_dispatch = dispatch;
@@ -436,8 +437,7 @@ CalculatorResult RunFastT(const ModelBuildFn& build,
     cal.postmortem.oom = candidate_oom;
 
     // Pre-training ends when the cost models are stable (paper's rule).
-    stability.Observe(result.comp, cluster.num_devices(),
-                      CostKeys(current_graph));
+    stability.Observe(result.comp, cluster.num_devices(), current_keys);
     const StabilityStats& stab = stability.last_stats();
     cal.stability = stab;
     summary.comp_err_p50 = cal.comp.p50;
@@ -528,7 +528,6 @@ CalculatorResult RunFastT(const ModelBuildFn& build,
   metrics.AddCounter("calculator/activations", result.activations);
   metrics.SetGauge("calculator/last_iteration_s", result.iteration_s);
   metrics.SetGauge("calculator/last_strategy_time_s", result.strategy_time_s);
-  (void)host_start;
   return result;
 }
 

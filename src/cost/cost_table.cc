@@ -1,5 +1,7 @@
 #include "cost/cost_table.h"
 
+#include <algorithm>
+
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 
@@ -15,8 +17,41 @@ CompCostTable::CompCostTable(const Graph& g, const CompCostModel& model,
   const size_t devs = static_cast<size_t>(num_devices_);
   times_.assign(slots * devs, 0.0);
   max_time_.assign(slots, 0.0);
+  const int64_t unknown = EstimateRows(g, model, 0);
+  CurrentMetrics().AddCounter("cost/comp_table_builds");
+  if (unknown > 0) {
+    CurrentMetrics().AddCounter("cost/comp_table_unknown_entries",
+                                         unknown);
+    FASTT_TRACE_INSTANT("cost/comp_table_unknown", unknown);
+  }
+}
+
+void CompCostTable::Extend(const CompCostTable& base, const Graph& g,
+                           const CompCostModel& model, OpId killed) {
+  FASTT_TRACE_SPAN("cost/comp_table");
+  num_devices_ = base.num_devices_;
+  num_slots_ = g.num_slots();
+  model_version_ = model.version();
+  const size_t slots = static_cast<size_t>(num_slots_);
+  const size_t devs = static_cast<size_t>(num_devices_);
+  ReserveExact(times_, slots * devs);
+  times_.assign(base.times_.begin(), base.times_.end());
+  times_.resize(slots * devs, 0.0);
+  ReserveExact(max_time_, slots);
+  max_time_.assign(base.max_time_.begin(), base.max_time_.end());
+  max_time_.resize(slots, 0.0);
+  const size_t k = static_cast<size_t>(killed);
+  std::fill_n(times_.begin() + static_cast<std::ptrdiff_t>(k * devs), devs,
+              0.0);
+  max_time_[k] = 0.0;
+  EstimateRows(g, model, base.num_slots_);
+}
+
+int64_t CompCostTable::EstimateRows(const Graph& g, const CompCostModel& model,
+                                    OpId first) {
+  const size_t devs = static_cast<size_t>(num_devices_);
   int64_t unknown = 0;  // explore-at-zero entries: no profile, no basis
-  for (OpId id = 0; id < num_slots_; ++id) {
+  for (OpId id = first; id < num_slots_; ++id) {
     const Operation& op = g.op(id);
     if (op.dead) continue;
     double* row = times_.data() + static_cast<size_t>(id) * devs;
@@ -28,12 +63,7 @@ CompCostTable::CompCostTable(const Graph& g, const CompCostModel& model,
     }
     max_time_[static_cast<size_t>(id)] = best;
   }
-  CurrentMetrics().AddCounter("cost/comp_table_builds");
-  if (unknown > 0) {
-    CurrentMetrics().AddCounter("cost/comp_table_unknown_entries",
-                                         unknown);
-    FASTT_TRACE_INSTANT("cost/comp_table_unknown", unknown);
-  }
+  return unknown;
 }
 
 bool CompCostTable::Fresh(const Graph& g, const CompCostModel& model) const {

@@ -6,10 +6,12 @@
 // every candidate device, and OS-DPOS reschedules whole trial graphs per
 // split probe. A table is built once per scheduler invocation (one string
 // lookup per op key and one map lookup per device pair), after which
-// every query is an array read. Tables are immutable after construction, so
-// the parallel search reads them from many threads without synchronization,
-// and each carries the model version it was built from so stale snapshots
-// are detectable after a profiling round feeds the models.
+// every query is an array read; an OS-DPOS split trial extends its probe's
+// table instead, estimating only the slots the split appended. Tables are
+// not modified once built, so the parallel search reads them from many
+// threads without synchronization, and each carries the model version it
+// was built from so stale snapshots are detectable after a profiling round
+// feeds the models.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +41,15 @@ class CompCostTable {
     return max_time_[static_cast<size_t>(op)];
   }
 
+  // Re-snapshots for `g`, the graph `base` was built for after a rewrite
+  // that killed op `killed` and appended slots, leaving every other op as
+  // it was (what SplitOperation does): copies base's rows, zeroes the
+  // killed op's, and estimates only the appended slots. Equal to
+  // CompCostTable(g, model, base.num_devices()); reuses this table's
+  // storage.
+  void Extend(const CompCostTable& base, const Graph& g,
+              const CompCostModel& model, OpId killed);
+
   int32_t num_devices() const { return num_devices_; }
   int32_t num_slots() const { return num_slots_; }
   // Version of the computation model this snapshot was built from.
@@ -47,6 +58,11 @@ class CompCostTable {
   bool Fresh(const Graph& g, const CompCostModel& model) const;
 
  private:
+  // Estimates the rows of live slots [first, num_slots_); returns how many
+  // entries priced as unknown (0).
+  int64_t EstimateRows(const Graph& g, const CompCostModel& model,
+                       OpId first);
+
   int32_t num_devices_ = 0;
   int32_t num_slots_ = 0;
   uint64_t model_version_ = 0;

@@ -5,31 +5,62 @@
 #include <vector>
 
 #include "util/stats.h"
-#include "util/strings.h"
 
 namespace fastt {
 
+StabilityKeys::StabilityKeys(const std::vector<std::string>& keys) {
+  std::unordered_map<std::string, int32_t> index;
+  occurrences_.reserve(keys.size());
+  for (const std::string& key : keys) {
+    auto [it, inserted] =
+        index.emplace(key, static_cast<int32_t>(distinct_.size()));
+    if (inserted) distinct_.push_back(key);
+    occurrences_.push_back(it->second);
+  }
+}
+
 double StabilityDetector::Observe(const CompCostModel& model,
                                   int32_t num_devices,
-                                  const std::vector<std::string>& keys) {
+                                  const StabilityKeys& keys) {
+  ++round_;
+  const size_t devs = static_cast<size_t>(num_devices);
   bool new_entry = false;
-  std::vector<double> changes;
-  std::unordered_map<std::string, double> current;
-  for (const std::string& key : keys) {
-    for (DeviceId d = 0; d < num_devices; ++d) {
-      auto value = model.Lookup(key, d);
-      if (!value) continue;
-      const std::string entry = key + "@" + StrFormat("%d", d);
-      current[entry] = *value;
-      auto it = last_.find(entry);
-      if (it == last_.end()) {
-        new_entry = true;
-      } else if (it->second > 0.0) {
-        changes.push_back(std::fabs(*value - it->second) / it->second);
+  // Each distinct key's relative changes in device order, flat, ending at
+  // key_end[k]; then pushed once per listing, in listing order — the same
+  // sequence a walk over every listed (key, device) pair produces.
+  std::vector<double> key_changes;
+  std::vector<size_t> key_end(keys.distinct().size());
+  for (size_t k = 0; k < keys.distinct().size(); ++k) {
+    const std::string& key = keys.distinct()[k];
+    KeySnapshot& snap = last_[key];
+    const bool listed_last_round = snap.round + 1 == round_;
+    snap.round = round_;
+    snap.mean.resize(devs, 0.0);
+    snap.known.resize(devs, 0);
+    for (size_t d = 0; d < devs; ++d) {
+      const auto value = model.Lookup(key, static_cast<DeviceId>(d));
+      if (value) {
+        const double old = snap.mean[d];
+        if (!listed_last_round || !snap.known[d]) {
+          new_entry = true;
+        } else if (old > 0.0) {
+          key_changes.push_back(std::fabs(*value - old) / old);
+        }
       }
+      snap.known[d] = value ? 1 : 0;
+      snap.mean[d] = value.value_or(0.0);
     }
+    key_end[k] = key_changes.size();
   }
-  last_ = std::move(current);
+  std::vector<double> changes;
+  for (int32_t k : keys.occurrences()) {
+    const size_t begin = k == 0 ? 0 : key_end[static_cast<size_t>(k) - 1];
+    changes.insert(changes.end(),
+                   key_changes.begin() + static_cast<std::ptrdiff_t>(begin),
+                   key_changes.begin() +
+                       static_cast<std::ptrdiff_t>(
+                           key_end[static_cast<size_t>(k)]));
+  }
 
   StabilityStats stats;
   stats.entries = static_cast<int>(changes.size());

@@ -11,9 +11,11 @@
 // to stability rather than just whether it stopped.
 #pragma once
 
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "cost/comp_cost.h"
 
@@ -37,15 +39,37 @@ struct StabilityStats {
   int patience = 0;
 };
 
+// A graph's cost keys in op order, indexed once: the distinct keys in
+// first-occurrence order, and for every key in the list the index of its
+// distinct key. Ops that share a cost key (the replicas of a data-parallel
+// graph) then cost Observe one snapshot lookup, not one each.
+class StabilityKeys {
+ public:
+  explicit StabilityKeys(const std::vector<std::string>& keys);
+
+  const std::vector<std::string>& distinct() const { return distinct_; }
+  // One per listed key, in listing order.
+  const std::vector<int32_t>& occurrences() const { return occurrences_; }
+
+ private:
+  std::vector<std::string> distinct_;
+  std::vector<int32_t> occurrences_;
+};
+
 class StabilityDetector {
  public:
   explicit StabilityDetector(double tolerance = 0.05, int patience = 2)
       : tolerance_(tolerance), patience_(patience) {}
 
-  // Feed the current model state; returns the max relative change vs. the
-  // previous snapshot (infinity on first call or when new keys appeared).
+  // Feed the current model state for the listed keys (duplicates count once
+  // per listing); returns the max relative change vs. the previous snapshot
+  // (infinity on first call or when new keys appeared).
   double Observe(const CompCostModel& model, int32_t num_devices,
-                 const std::vector<std::string>& keys);
+                 const StabilityKeys& keys);
+  double Observe(const CompCostModel& model, int32_t num_devices,
+                 const std::vector<std::string>& keys) {
+    return Observe(model, num_devices, StabilityKeys(keys));
+  }
 
   bool IsStable() const { return stable_rounds_ >= patience_; }
   int stable_rounds() const { return stable_rounds_; }
@@ -61,7 +85,16 @@ class StabilityDetector {
   int patience_;
   int stable_rounds_ = 0;
   StabilityStats last_stats_;
-  std::unordered_map<std::string, double> last_;
+  // Per cost key, the model's per-device means as of the last Observe that
+  // listed it. Only entries stamped with the previous round count as the
+  // previous snapshot; a key absent from a round reads as new afterwards.
+  struct KeySnapshot {
+    int64_t round = -1;
+    std::vector<double> mean;     // per device
+    std::vector<uint8_t> known;   // per device: the model had a sample
+  };
+  std::unordered_map<std::string, KeySnapshot> last_;
+  int64_t round_ = 0;  // Observe calls so far
 };
 
 }  // namespace fastt

@@ -82,7 +82,8 @@ struct LintConfig {
   std::vector<std::string> tagged_paths = {
       "src/graph/graph.",       "src/sim/exec_sim.cc",
       "src/sim/incremental_sim.cc", "src/cost/cost_table.",
-      "src/core/dpos.cc",       "src/core/os_dpos.cc"};
+      "src/core/dpos.cc",       "src/core/os_dpos.cc",
+      "src/core/rank.cc"};
   // Signal-handler roots for the S1 reachability walk.
   std::vector<std::string> handler_roots = {"FasttProfSignalHandler"};
   // Allowlist: (rule, file substring, enclosing function) triples. A '*'

@@ -200,6 +200,18 @@ bool operator!=(const TaggedAlloc<T>& a, const TaggedAlloc<U>& b) {
 template <typename T>
 using TaggedVector = std::vector<T, TaggedAlloc<T>>;
 
+// Makes room for exactly `n` elements in a buffer that is reused across
+// calls of varying size. When it has to grow, its old storage is freed
+// first and nothing is copied; the contents are then unspecified. The
+// buffer's high-water mark stays one buffer of the largest size asked for,
+// instead of old plus new during the copy, with the capacity rounded up.
+template <typename T>
+void ReserveExact(TaggedVector<T>& v, size_t n) {
+  if (v.capacity() >= n) return;
+  v = TaggedVector<T>(v.get_allocator());
+  v.reserve(n);
+}
+
 // ---- Trace integration ----------------------------------------------------
 
 // Emits one live-bytes counter sample per active tag (plus the total) into

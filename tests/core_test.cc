@@ -364,7 +364,8 @@ TEST(Rank, CriticalPathFollowsLargestRank) {
   CommCostModel comm;
   const auto rank = ComputeRankU(g, comp, comm, 1);
   const auto cp = CriticalPathByRank(g, rank);
-  EXPECT_EQ(cp, (std::vector<OpId>{a, heavy, exit_op}));
+  EXPECT_EQ(std::vector<OpId>(cp.begin(), cp.end()),
+            (std::vector<OpId>{a, heavy, exit_op}));
 }
 
 // ---- DPOS --------------------------------------------------------------------

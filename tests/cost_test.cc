@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "cost/comm_cost.h"
 #include "cost/comp_cost.h"
@@ -8,6 +13,8 @@
 #include "cost/linreg.h"
 #include "cost/stability.h"
 #include "graph/graph.h"
+#include "util/rng.h"
+#include "util/stats.h"
 
 namespace fastt {
 namespace {
@@ -266,6 +273,137 @@ TEST(Stability, WindowStatisticsExposed) {
   EXPECT_NEAR(third.margin, 0.05, 1e-12);
   EXPECT_EQ(third.stable_rounds, 2);
   EXPECT_TRUE(detector.IsStable());
+}
+
+// The walk StabilityDetector::Observe made before it kept one snapshot per
+// cost key: every listed (key, device) pair formatted as "key@d" and looked
+// up on its own. The per-key snapshot must reproduce it bit for bit.
+class StringKeyedStability {
+ public:
+  StringKeyedStability(double tolerance, int patience)
+      : tolerance_(tolerance), patience_(patience) {}
+
+  double Observe(const CompCostModel& model, int32_t num_devices,
+                 const std::vector<std::string>& keys) {
+    bool new_entry = false;
+    std::vector<double> changes;
+    std::unordered_map<std::string, double> current;
+    for (const std::string& key : keys) {
+      for (DeviceId d = 0; d < num_devices; ++d) {
+        auto value = model.Lookup(key, d);
+        if (!value) continue;
+        const std::string entry = key + "@" + std::to_string(d);
+        current[entry] = *value;
+        auto it = last_.find(entry);
+        if (it == last_.end()) {
+          new_entry = true;
+        } else if (it->second > 0.0) {
+          changes.push_back(std::fabs(*value - it->second) / it->second);
+        }
+      }
+    }
+    last_ = std::move(current);
+
+    StabilityStats stats;
+    stats.entries = static_cast<int>(changes.size());
+    stats.mean_change = Mean(changes);
+    stats.stddev_change = Stddev(changes);
+    stats.tolerance = tolerance_;
+    stats.patience = patience_;
+    stats.new_entries = new_entry;
+    if (new_entry) {
+      stable_rounds_ = 0;
+      stats.max_change = std::numeric_limits<double>::infinity();
+      stats.margin = -std::numeric_limits<double>::infinity();
+    } else {
+      stats.max_change = changes.empty() ? 0.0 : Max(changes);
+      stats.margin = tolerance_ - stats.max_change;
+      stable_rounds_ = stats.max_change <= tolerance_ ? stable_rounds_ + 1 : 0;
+    }
+    stats.stable_rounds = stable_rounds_;
+    last_stats_ = stats;
+    return stats.max_change;
+  }
+
+  bool IsStable() const { return stable_rounds_ >= patience_; }
+  const StabilityStats& last_stats() const { return last_stats_; }
+
+ private:
+  double tolerance_;
+  int patience_;
+  int stable_rounds_ = 0;
+  StabilityStats last_stats_;
+  std::unordered_map<std::string, double> last_;
+};
+
+uint64_t DoubleBits(double x) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof bits);
+  return bits;
+}
+
+TEST(Stability, PerKeySnapshotMatchesStringKeyedWalkBitForBit) {
+  // Key "z" only ever sees 0 s samples (a zero mean); the others drift by
+  // small relative steps with an occasional jump, on a random subset of
+  // devices, so some (key, device) pairs never get a sample.
+  const std::vector<std::string> pool = {"a", "b", "c", "d", "e", "z"};
+  int stable_rounds_seen = 0, new_entry_rounds = 0, compared_rounds = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    CompCostModel model;
+    const double tolerance = 0.02 + 0.04 * rng.NextDouble();
+    const int patience = 1 + static_cast<int>(rng.NextBelow(3));
+    StabilityDetector detector(tolerance, patience);
+    StringKeyedStability reference(tolerance, patience);
+    for (int round = 0; round < 14; ++round) {
+      const int32_t devices = 2 + static_cast<int32_t>(rng.NextBelow(3));
+      for (const std::string& key : pool) {
+        for (DeviceId d = 0; d < 4; ++d) {
+          if (!rng.NextBool(key == "e" ? 0.1 : 0.4)) continue;
+          const double base = 0.001 * static_cast<double>(d + 1);
+          const double sample =
+              key == "z"            ? 0.0
+              : rng.NextBool(0.1)   ? base * rng.NextDouble(2.0, 4.0)
+                                    : base * rng.NextDouble(0.99, 1.01);
+          model.AddSample(key, d, sample);
+        }
+      }
+      // A random listing: keys drop out and come back, and repeat.
+      std::vector<std::string> keys;
+      const size_t listed = rng.NextBelow(10);
+      for (size_t i = 0; i < listed; ++i)
+        keys.push_back(pool[rng.NextBelow(pool.size())]);
+      if (rng.NextBool(0.5)) keys = {"a", "b", "a", "z"};
+
+      const double got = rng.NextBool(0.5)
+                             ? detector.Observe(model, devices, keys)
+                             : detector.Observe(model, devices,
+                                                StabilityKeys(keys));
+      const double want = reference.Observe(model, devices, keys);
+      const StabilityStats& a = detector.last_stats();
+      const StabilityStats& b = reference.last_stats();
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " round "
+                                        << round);
+      EXPECT_EQ(DoubleBits(got), DoubleBits(want));
+      EXPECT_EQ(a.entries, b.entries);
+      EXPECT_EQ(DoubleBits(a.max_change), DoubleBits(b.max_change));
+      EXPECT_EQ(DoubleBits(a.mean_change), DoubleBits(b.mean_change));
+      EXPECT_EQ(DoubleBits(a.stddev_change), DoubleBits(b.stddev_change));
+      EXPECT_EQ(DoubleBits(a.tolerance), DoubleBits(b.tolerance));
+      EXPECT_EQ(DoubleBits(a.margin), DoubleBits(b.margin));
+      EXPECT_EQ(a.new_entries, b.new_entries);
+      EXPECT_EQ(a.stable_rounds, b.stable_rounds);
+      EXPECT_EQ(a.patience, b.patience);
+      EXPECT_EQ(detector.IsStable(), reference.IsStable());
+      ++compared_rounds;
+      if (b.stable_rounds > 0) ++stable_rounds_seen;
+      if (b.new_entries) ++new_entry_rounds;
+    }
+  }
+  // The sweep reaches both outcomes of the rule.
+  EXPECT_EQ(compared_rounds, 40 * 14);
+  EXPECT_GT(stable_rounds_seen, 20);
+  EXPECT_GT(new_entry_rounds, 20);
 }
 
 TEST(LinearRegression, RSquaredPerfectAndNoisy) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <random>
+#include <string>
 
 #include "core/data_parallel.h"
 #include "core/os_dpos.h"
@@ -12,7 +14,9 @@
 #include "models/model_zoo.h"
 #include "sim/exec_sim.h"
 #include "sim/incremental_sim.h"
+#include "sim/profiler.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace fastt {
 namespace {
@@ -324,6 +328,179 @@ TEST_P(IncrementalSimSweep, MatchesFullSimulationAfterSplits) {
 
 INSTANTIATE_TEST_SUITE_P(RandomEdits, IncrementalSimSweep,
                          ::testing::Range(uint64_t{1}, uint64_t{25}));
+
+// ---- Split-trial DPOS inputs ------------------------------------------------
+// The contract under test: after any split of the base graph, the inputs
+// SplitTrialInputs derives from the base equal a fresh BuildDposInputs of
+// the split graph bit for bit in every slot (dead ones included), and list
+// scheduling from either gives the same schedule. Committed splits make the
+// derived inputs the next base, so later trials also split the sub-ops of
+// earlier splits.
+
+uint64_t Bits(double x) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof bits);
+  return bits;
+}
+
+void ExpectSameInputs(const Graph& g, const DposInputs& got,
+                      const DposInputs& want) {
+  ASSERT_EQ(got.comp.num_slots(), want.comp.num_slots());
+  ASSERT_EQ(got.comp.num_devices(), want.comp.num_devices());
+  ASSERT_EQ(got.mem_need.size(), want.mem_need.size());
+  ASSERT_EQ(got.rank.size(), want.rank.size());
+  for (OpId id = 0; id < g.num_slots(); ++id) {
+    const size_t i = static_cast<size_t>(id);
+    SCOPED_TRACE(g.op(id).name + (g.op(id).dead ? " (dead)" : ""));
+    for (DeviceId d = 0; d < want.comp.num_devices(); ++d)
+      ASSERT_EQ(Bits(got.comp.Time(id, d)), Bits(want.comp.Time(id, d)));
+    ASSERT_EQ(Bits(got.comp.MaxOverDevices(id)),
+              Bits(want.comp.MaxOverDevices(id)));
+    ASSERT_EQ(got.mem_need[i], want.mem_need[i]);
+    ASSERT_EQ(Bits(got.rank[i]), Bits(want.rank[i]));
+  }
+  ASSERT_TRUE(std::equal(got.critical_path.begin(), got.critical_path.end(),
+                         want.critical_path.begin(),
+                         want.critical_path.end()));
+}
+
+void ExpectSameSchedule(const Graph& g, const Cluster& cluster,
+                        const DposInputs& got, const DposInputs& want) {
+  const DposResult a = DposListSchedule(g, cluster, got);
+  const DposResult b = DposListSchedule(g, cluster, want);
+  ASSERT_EQ(a.strategy.placement, b.strategy.placement);
+  for (OpId id = 0; id < g.num_slots(); ++id) {
+    const size_t i = static_cast<size_t>(id);
+    ASSERT_EQ(Bits(a.start_time[i]), Bits(b.start_time[i])) << g.op(id).name;
+    ASSERT_EQ(Bits(a.finish_time[i]), Bits(b.finish_time[i]))
+        << g.op(id).name;
+  }
+  ASSERT_EQ(Bits(a.ft_exit), Bits(b.ft_exit));
+  ASSERT_EQ(a.memory_overflow, b.memory_overflow);
+}
+
+struct DerivationCounts {
+  int splits = 0;
+  int cp_splits = 0;      // of an op on the base's rank critical path
+  int sub_op_splits = 0;  // of a sub-op an earlier committed split made
+  int commits = 0;
+};
+
+// `steps` random split trials of `g` under Mark: each derived and checked,
+// then undone, or kept (Graph::Commit + SplitTrialInputs::Commit, with the
+// new base checked too).
+void FuzzSplitTrialInputs(Graph& g, const Cluster& cluster, uint64_t seed,
+                          int steps, DerivationCounts* counts) {
+  // Cost models from one noisy profiled step of an even spread of the ops,
+  // so rows differ per device; split sub-ops price through their basis key
+  // and glue ops stay unknown (0), as in the calculator's first round.
+  const int32_t n_dev = cluster.num_devices();
+  std::vector<DeviceId> placement(static_cast<size_t>(g.num_slots()), 0);
+  for (OpId id = 0; id < g.num_slots(); ++id)
+    placement[static_cast<size_t>(id)] = static_cast<DeviceId>(id % n_dev);
+  SimOptions noisy;
+  noisy.noise_cv = 0.03;
+  noisy.seed = seed;
+  const SimResult profiled = Simulate(g, placement, cluster, noisy);
+  const RunProfile profile = ExtractProfile(g, profiled);
+  CompCostModel comp;
+  CommCostModel comm;
+  comp.AddProfile(profile);
+  comm.AddProfile(profile);
+
+  Rng rng(seed);
+  SplitTrialInputs inputs(g, n_dev, comp, comm);
+  SplitTrialInputs::Lane lane;
+  const int counts_to_try[] = {2, 3, 4, 8};
+  for (int step = 0; step < steps; ++step) {
+    // Candidates: the base's critical path, or the sub-ops of earlier
+    // splits (all live ops until there are some).
+    const bool from_cp = rng.NextBool(0.5);
+    std::vector<OpId> pool;
+    if (from_cp) {
+      pool.assign(inputs.base().critical_path.begin(),
+                  inputs.base().critical_path.end());
+    } else {
+      for (OpId id : g.LiveOps())
+        if (g.op(id).name.find("/part") != std::string::npos)
+          pool.push_back(id);
+      if (pool.empty()) pool = g.LiveOps();
+    }
+    OpId op = kInvalidOp;
+    SplitDim dim = SplitDim::kNone;
+    int n = 0;
+    for (int attempt = 0; attempt < 40 && op == kInvalidOp; ++attempt) {
+      const OpId cand = pool[rng.NextBelow(pool.size())];
+      const auto dims = ParallelizableDims(g.op(cand).type);
+      if (dims.empty()) continue;
+      const SplitDim cand_dim = dims[rng.NextBelow(dims.size())];
+      const int cand_n = counts_to_try[rng.NextBelow(4)];
+      if (!CanSplit(g, cand, cand_dim, cand_n)) continue;
+      op = cand;
+      dim = cand_dim;
+      n = cand_n;
+    }
+    if (op == kInvalidOp) continue;
+    SCOPED_TRACE("split of " + g.op(op).name);
+    ++counts->splits;
+    if (from_cp) ++counts->cp_splits;
+    if (g.op(op).name.find("/part") != std::string::npos)
+      ++counts->sub_op_splits;
+
+    const size_t mark = g.Mark();
+    SplitOperation(g, op, dim, n);
+    const DposInputs fresh = BuildDposInputs(g, n_dev, comp, comm);
+    const DposInputs& derived = inputs.Derive(g, op, lane);
+    ExpectSameInputs(g, derived, fresh);
+    if (::testing::Test::HasFatalFailure()) return;
+    ExpectSameSchedule(g, cluster, derived, fresh);
+    if (::testing::Test::HasFatalFailure()) return;
+    if (rng.NextBool(0.35)) {
+      g.Commit(mark);
+      inputs.Commit(g, op, lane);
+      ++counts->commits;
+      ExpectSameInputs(g, inputs.base(), fresh);
+      if (::testing::Test::HasFatalFailure()) return;
+    } else {
+      g.Undo(mark);
+    }
+  }
+}
+
+TEST(SplitTrialInputsSweep, DerivedInputsMatchFreshBuildOnSmallZooGraphs) {
+  DerivationCounts counts;
+  for (const char* model : {"lenet", "alexnet", "rnnlm"}) {
+    const ModelSpec& spec = FindModel(model);
+    for (int devices : {2, 4}) {
+      const Cluster cluster = Cluster::SingleServer(devices);
+      for (uint64_t seed = 1; seed <= 3; ++seed) {
+        DataParallelGraph dp = BuildDataParallel(
+            spec.build, spec.name, 32, devices, Scaling::kStrong);
+        SCOPED_TRACE(StrFormat("%s x%d seed %llu", model, devices,
+                               static_cast<unsigned long long>(seed)));
+        FuzzSplitTrialInputs(dp.graph, cluster, seed * 100 + devices, 12,
+                             &counts);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+  // The sweep reaches every case the derivation has to get right.
+  EXPECT_GT(counts.splits, 150);
+  EXPECT_GT(counts.cp_splits, 40);
+  EXPECT_GT(counts.sub_op_splits, 20);
+  EXPECT_GT(counts.commits, 40);
+}
+
+TEST(SplitTrialInputsSweep, DerivedInputsMatchFreshBuildOnBertLarge8Way) {
+  const ModelSpec& spec = FindModel("bert_large");
+  const Cluster cluster = Cluster::SingleServer(8);
+  DataParallelGraph dp =
+      BuildDataParallel(spec.build, spec.name, 16, 8, Scaling::kStrong);
+  DerivationCounts counts;
+  FuzzSplitTrialInputs(dp.graph, cluster, 7, 10, &counts);
+  EXPECT_GT(counts.splits, 5);
+  EXPECT_GT(counts.commits, 0);
+}
 
 }  // namespace
 }  // namespace fastt

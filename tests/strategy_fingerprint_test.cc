@@ -1,6 +1,7 @@
 // Strategy fingerprints: OS-DPOS output pinned bit for bit at the paper's
-// cluster sizes, and one annealing search (the arena racer that rewrites
-// its graph in place every iteration) pinned the same way.
+// cluster sizes, two whole calculator runs (RunFastT) pinned round by
+// round, and one annealing search (the arena racer that rewrites its graph
+// in place every iteration) pinned the same way.
 //
 // Each case builds the data-parallel input graph of a zoo model, seeds the
 // cost models from one noisy profiled step of the canonical DP placement,
@@ -123,6 +124,78 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<FingerprintCase>& info) {
       return StrFormat("%s_%dx%d", info.param.model, info.param.servers,
                        info.param.gpus_per_server);
+    });
+
+// The whole calculator workflow at seed 7: every round's OS-DPOS search,
+// profiled steps, rollback decision and stability observation. Pinned are
+// the FNV-1a of the serialized final strategy, the bits of iteration_s, and
+// per round a one-letter decision (c = committed, o = rolled back on OOM,
+// r = rolled back slower) plus an FNV-1a over the bits of every
+// StabilityStats field, so a change to the stability detector or to any
+// round's candidate shows up here.
+struct CalculatorCase {
+  const char* model;
+  int gpus;
+  const char* decisions;  // one letter per round
+  uint64_t strategy_fnv;
+  uint64_t iteration_bits;
+  uint64_t stability_fnv;
+};
+
+void PrintTo(const CalculatorCase& c, std::ostream* os) {
+  *os << c.model << " 1x" << c.gpus;
+}
+
+class CalculatorFingerprint
+    : public ::testing::TestWithParam<CalculatorCase> {};
+
+TEST_P(CalculatorFingerprint, RunFastTMatchesGolden) {
+  const CalculatorCase& c = GetParam();
+  const ModelSpec& spec = FindModel(c.model);
+  const CalculatorResult ft =
+      RunFastT(spec.build, spec.name, spec.strong_batch, Scaling::kStrong,
+               Cluster::SingleServer(c.gpus));
+
+  const std::string text = SerializeStrategy(ft.strategy);
+  const uint64_t fnv = Fnv1a(kFnvOffset, text.data(), text.size());
+  const uint64_t bits = Bits(ft.iteration_s);
+  std::string decisions;
+  for (const RoundSummary& r : ft.round_history)
+    decisions += r.committed ? 'c' : r.oom ? 'o' : 'r';
+  ASSERT_EQ(ft.calibration.size(), ft.round_history.size());
+  uint64_t stab_fnv = kFnvOffset;
+  for (const CalibrationRound& cal : ft.calibration) {
+    const StabilityStats& s = cal.stability;
+    const int64_t ints[] = {s.entries, s.new_entries ? 1 : 0,
+                            s.stable_rounds, s.patience};
+    const uint64_t doubles[] = {Bits(s.max_change), Bits(s.mean_change),
+                                Bits(s.stddev_change), Bits(s.tolerance),
+                                Bits(s.margin)};
+    stab_fnv = Fnv1a(stab_fnv, ints, sizeof ints);
+    stab_fnv = Fnv1a(stab_fnv, doubles, sizeof doubles);
+  }
+
+  EXPECT_EQ(decisions, c.decisions);
+  EXPECT_EQ(fnv, c.strategy_fnv)
+      << StrFormat("new strategy_fnv 0x%016llx",
+                   static_cast<unsigned long long>(fnv));
+  EXPECT_EQ(bits, c.iteration_bits)
+      << StrFormat("new iteration_bits 0x%016llx (iteration_s %.17g s)",
+                   static_cast<unsigned long long>(bits), ft.iteration_s);
+  EXPECT_EQ(stab_fnv, c.stability_fnv)
+      << StrFormat("new stability_fnv 0x%016llx",
+                   static_cast<unsigned long long>(stab_fnv));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seed7, CalculatorFingerprint,
+    ::testing::Values(
+        CalculatorCase{"vgg19", 4, "crrcccrr", 0x05b60ee502a7f87dULL,
+                       0x3fc75a9e0015132dULL, 0xac0dd0576dab00b5ULL},
+        CalculatorCase{"inception_v3", 2, "rcrrrrc", 0xe1c68d5be1c0e22cULL,
+                       0x3fc3d30770e0cb29ULL, 0x735b8f25e4c7fe6dULL}),
+    [](const ::testing::TestParamInfo<CalculatorCase>& info) {
+      return StrFormat("%s_1x%d", info.param.model, info.param.gpus);
     });
 
 // Annealing keeps one graph and undoes each rejected split in place; its
