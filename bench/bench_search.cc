@@ -1,13 +1,12 @@
 // bench_search — wall-clock of the strategy search engine itself (not the
 // simulated training it optimizes): OS-DPOS end-to-end at --jobs 1 vs
 // --jobs N on one model, verifying the parallel run produces a byte-identical
-// strategy, plus the incremental-resimulation speedup over full re-simulation
-// for single-op re-placements. These back the PR's "search acceleration"
-// claims; the paper's own tables time the simulated cluster, this times the
-// host-side algorithms.
+// strategy, plus the search's allocation counts, CPU-profiler coverage and
+// the searcher arena's race on the same model. The paper's own tables time
+// the simulated cluster; this times the host-side algorithms.
 //
 // Usage: bench_search [--model NAME] [--gpus N] [--batch N] [--jobs N]
-//                     [--repeat N] [--edits N]
+//                     [--repeat N] [--profile PATH]
 // Defaults exercise the headline configuration (largest zoo model, 8 GPUs,
 // jobs 8); CI smoke runs pass e.g. `--model lenet --gpus 2 --repeat 1`.
 #include <algorithm>
@@ -30,10 +29,8 @@
 #include "obs/profiler.h"
 #include "obs/tracer.h"
 #include "sim/exec_sim.h"
-#include "sim/incremental_sim.h"
 #include "sim/profiler.h"
 #include "util/memtrack.h"
-#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace fastt {
@@ -194,117 +191,6 @@ SearchProfileStats MeasureSearchProfile(const SearchInput& in, int jobs,
   return s;
 }
 
-struct ResimTiming {
-  double incremental_s = 0.0;  // best over repeats
-  double full_s = 0.0;
-  std::vector<double> incremental_samples;
-  std::vector<double> full_samples;
-  int edits = 0;
-};
-
-// Which ops a resim benchmark edits. The dirty cone of an exact incremental
-// replay spans the timeline from the edited op's earliest possible effect —
-// its *data-readiness* on the new device — so the three modes probe the
-// spectrum: kRandom edits dirty most of the timeline on a data-parallel
-// graph (ops are data-ready long before their device frees up, so a move
-// can legitimately reshuffle the target device's whole schedule); kTail
-// restricts edits to the last decile by cached start, which helps only when
-// readiness is also late; kLatest re-places the latest-starting op — the
-// critical-path refinement move of a local search — whose cone is tiny.
-enum class EditMode { kRandom, kTail, kLatest };
-
-// Single-op re-placements, re-simulated both ways, `repeat` times each (a
-// fresh IncrementalSim per repeat; the baseline re-simulates from scratch
-// per edit by construction).
-ResimTiming TimeResim(const SearchInput& in, int edits, EditMode mode,
-                      int repeat) {
-  SimOptions so;
-  so.track_memory = false;
-  ResimTiming t;
-  t.edits = edits;
-  Rng rng(23);
-  auto live = in.graph.LiveOps();
-
-  std::vector<DeviceId> placement = in.placement;
-  IncrementalSim inc(in.graph, placement, in.cluster, so);
-  const auto& recs = inc.result().op_records;
-  if (mode == EditMode::kTail) {
-    std::vector<double> starts;
-    starts.reserve(live.size());
-    for (OpId id : live)
-      starts.push_back(recs[static_cast<size_t>(id)].start);
-    std::nth_element(starts.begin(), starts.begin() + starts.size() * 9 / 10,
-                     starts.end());
-    const double cutoff = starts[starts.size() * 9 / 10];
-    live.erase(std::remove_if(live.begin(), live.end(),
-                              [&](OpId id) {
-                                return recs[static_cast<size_t>(id)].start <
-                                       cutoff;
-                              }),
-               live.end());
-  } else if (mode == EditMode::kLatest) {
-    OpId latest = live.front();
-    for (OpId id : live)
-      if (recs[static_cast<size_t>(id)].start >
-          recs[static_cast<size_t>(latest)].start)
-        latest = id;
-    live.assign(1, latest);
-  }
-  // Draw (op, device) moves that actually change the placement: a no-op
-  // move is free for the incremental side but a full re-simulation for the
-  // baseline, which would flatter the speedup.
-  std::vector<std::pair<OpId, DeviceId>> moves;
-  std::vector<DeviceId> scratch = placement;
-  while (static_cast<int>(moves.size()) < edits) {
-    const OpId op = live[rng.NextBelow(live.size())];
-    const DeviceId dev = static_cast<DeviceId>(rng.NextBelow(
-        static_cast<uint64_t>(in.cluster.num_devices())));
-    if (scratch[static_cast<size_t>(op)] == dev) continue;
-    scratch[static_cast<size_t>(op)] = dev;
-    moves.push_back({op, dev});
-  }
-
-  double final_inc_makespan = 0.0;
-  for (int r = 0; r < repeat; ++r) {
-    // Repeats after the first pay the IncrementalSim seed again, outside
-    // the timed region, so every repeat measures the same edit sequence.
-    IncrementalSim fresh(in.graph, in.placement, in.cluster, so);
-    IncrementalSim& sim = r == 0 ? inc : fresh;
-    const double t0 = Now();
-    for (const auto& [op, dev] : moves) sim.Replace(op, dev);
-    const double elapsed = Now() - t0;
-    t.incremental_samples.push_back(elapsed);
-    if (r == 0 || elapsed < t.incremental_s) t.incremental_s = elapsed;
-    final_inc_makespan = sim.result().makespan;
-  }
-
-  double checksum = 0.0;
-  for (int r = 0; r < repeat; ++r) {
-    std::vector<DeviceId> scratch_placement = in.placement;
-    checksum = 0.0;
-    const double t0 = Now();
-    for (const auto& [op, dev] : moves) {
-      scratch_placement[static_cast<size_t>(op)] = dev;
-      checksum +=
-          Simulate(in.graph, scratch_placement, in.cluster, so).makespan;
-    }
-    const double elapsed = Now() - t0;
-    t.full_samples.push_back(elapsed);
-    if (r == 0 || elapsed < t.full_s) t.full_s = elapsed;
-    placement = std::move(scratch_placement);
-  }
-
-  // The two paths must agree on the final timeline (the property tests do
-  // the exhaustive version of this; here it guards the numbers we report).
-  const SimResult full = Simulate(in.graph, placement, in.cluster, so);
-  if (final_inc_makespan != full.makespan || checksum <= 0.0) {
-    std::fprintf(stderr, "incremental/full divergence: %.17g vs %.17g\n",
-                 final_inc_makespan, full.makespan);
-    std::exit(1);
-  }
-  return t;
-}
-
 // Arena: race the registered searcher roster with an uncapped wall budget so
 // each quality column (the noise-free resimulated iteration time) is a
 // deterministic function of (model, gpus, batch) — machine-independent, hence
@@ -355,7 +241,6 @@ int Run(int argc, char** argv) {
   int64_t batch = 0;
   int jobs = 8;
   int repeat = 3;
-  int edits = 200;
   std::string profile_path;
   for (int i = 1; i < argc; ++i) {
     auto next = [&]() -> const char* {
@@ -375,8 +260,6 @@ int Run(int argc, char** argv) {
       jobs = std::atoi(next());
     } else if (!std::strcmp(argv[i], "--repeat")) {
       repeat = std::atoi(next());
-    } else if (!std::strcmp(argv[i], "--edits")) {
-      edits = std::atoi(next());
     } else if (!std::strcmp(argv[i], "--profile")) {
       profile_path = next();
     } else {
@@ -407,16 +290,6 @@ int Run(int argc, char** argv) {
 
   const SearchAllocStats allocs = MeasureSearchAllocs(in, jobs_eff, repeat);
 
-  const ResimTiming resim = TimeResim(in, edits, EditMode::kRandom, repeat);
-  const double resim_speedup =
-      resim.incremental_s > 0.0 ? resim.full_s / resim.incremental_s : 0.0;
-  const ResimTiming tail = TimeResim(in, edits, EditMode::kTail, repeat);
-  const double tail_speedup =
-      tail.incremental_s > 0.0 ? tail.full_s / tail.incremental_s : 0.0;
-  const ResimTiming latest = TimeResim(in, edits, EditMode::kLatest, repeat);
-  const double latest_speedup =
-      latest.incremental_s > 0.0 ? latest.full_s / latest.incremental_s : 0.0;
-
   const ArenaStats arena = RunArena(model, gpus, batch, jobs_eff, repeat);
 
   const SearchProfileStats profcov =
@@ -428,18 +301,6 @@ int Run(int argc, char** argv) {
                 StrFormat("%.3fs", serial.best_s),
                 StrFormat("%.3fs", parallel.best_s),
                 StrFormat("%.2fx", search_speedup)});
-  table.AddRow({StrFormat("re-sim x%d random edits", resim.edits),
-                StrFormat("%.3fs", resim.full_s),
-                StrFormat("%.3fs", resim.incremental_s),
-                StrFormat("%.2fx", resim_speedup)});
-  table.AddRow({StrFormat("re-sim x%d tail edits", tail.edits),
-                StrFormat("%.3fs", tail.full_s),
-                StrFormat("%.3fs", tail.incremental_s),
-                StrFormat("%.2fx", tail_speedup)});
-  table.AddRow({StrFormat("re-sim x%d latest-op edits", latest.edits),
-                StrFormat("%.3fs", latest.full_s),
-                StrFormat("%.3fs", latest.incremental_s),
-                StrFormat("%.2fx", latest_speedup)});
   std::printf("%s", table.Render().c_str());
   std::printf("strategies byte-identical across jobs: %s\n",
               identical ? "yes" : "NO");
@@ -504,7 +365,6 @@ int Run(int argc, char** argv) {
         {"model", model},
         {"gpus", StrFormat("%d", gpus)},
         {"jobs", StrFormat("%d", jobs)},
-        {"edits", StrFormat("%d", edits)},
     };
     auto seconds = [](const std::string& name,
                       const std::vector<double>& samples) {
@@ -530,12 +390,6 @@ int Run(int argc, char** argv) {
         counted("osdpos_allocs", "count", allocs.allocs),
         counted("osdpos_peak_bytes", "bytes", allocs.peak_bytes),
         counted("osdpos_obs_allocs", "count", allocs.obs_allocs),
-        seconds("resim_full_s", resim.full_samples),
-        seconds("resim_incremental_s", resim.incremental_samples),
-        seconds("resim_tail_full_s", tail.full_samples),
-        seconds("resim_tail_incremental_s", tail.incremental_samples),
-        seconds("resim_latest_full_s", latest.full_samples),
-        seconds("resim_latest_incremental_s", latest.incremental_samples),
     };
     // Profiler coverage rows: percentages, higher is better (a drop means
     // span attribution or stack capture regressed).

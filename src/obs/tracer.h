@@ -2,15 +2,14 @@
 //
 // The metrics registry answers "how much, in total"; the tracer answers
 // "when, on which thread" — where the search's own wall-clock goes: DPOS
-// runs and their phases, OS-DPOS split trials on pool workers, incremental
-// re-simulation cone replays, cost-table builds, worker occupancy and queue
-// wait. Recording is a per-thread ring buffer of fixed capacity (oldest
-// events overwritten; a drain reports how many were lost), written without
-// locks: each buffer has exactly one writer — its owning thread — and a
-// release-store on the head index publishes slots to the drainer. Events
-// carry a `const char*` name (string literals only: no allocation, no
-// copying on the hot path) and a timestamp relative to the epoch set by
-// Enable().
+// runs and their phases, OS-DPOS split trials on pool workers, cost-table
+// builds, worker occupancy and queue wait. Recording is a per-thread ring
+// buffer of fixed capacity (oldest events overwritten; a drain reports how
+// many were lost), written without locks: each buffer has exactly one
+// writer — its owning thread — and a release-store on the head index
+// publishes slots to the drainer. Events carry a `const char*` name
+// (string literals only: no allocation, no copying on the hot path) and a
+// timestamp relative to the epoch set by Enable().
 //
 // Cost when disabled: every macro boils down to one relaxed atomic load and
 // a branch — unmeasurable next to the work being traced — and defining

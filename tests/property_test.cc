@@ -13,7 +13,6 @@
 #include "graph/rewrite.h"
 #include "models/model_zoo.h"
 #include "sim/exec_sim.h"
-#include "sim/incremental_sim.h"
 #include "sim/profiler.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -214,120 +213,6 @@ TEST_P(OsDposModelSweep, ProducesExecutableStrategies) {
 INSTANTIATE_TEST_SUITE_P(Models, OsDposModelSweep,
                          ::testing::Values("lenet", "alexnet", "rnnlm",
                                            "transformer"));
-
-// ---- Incremental re-simulation ---------------------------------------------
-// The contract under test: after any sequence of single-op re-placements and
-// splits, IncrementalSim's cached result is bit-identical to a fresh full
-// simulation of the edited graph + placement.
-
-void ExpectSameSim(const Graph& g, const SimResult& inc, const SimResult& full) {
-  ASSERT_EQ(inc.makespan, full.makespan);
-  ASSERT_EQ(inc.op_records.size(), full.op_records.size());
-  for (OpId id : g.LiveOps()) {
-    const auto& a = inc.op_records[static_cast<size_t>(id)];
-    const auto& b = full.op_records[static_cast<size_t>(id)];
-    ASSERT_EQ(a.device, b.device) << g.op(id).name;
-    ASSERT_EQ(a.start, b.start) << g.op(id).name;
-    ASSERT_EQ(a.finish, b.finish) << g.op(id).name;
-  }
-  ASSERT_EQ(inc.edge_arrival.size(), full.edge_arrival.size());
-  for (size_t e = 0; e < full.edge_arrival.size(); ++e) {
-    if (g.edge(static_cast<EdgeId>(e)).dead) continue;
-    ASSERT_EQ(inc.edge_arrival[e], full.edge_arrival[e]) << "edge " << e;
-  }
-  ASSERT_EQ(inc.transfers.size(), full.transfers.size());
-  for (size_t i = 0; i < full.transfers.size(); ++i) {
-    const auto& a = inc.transfers[i];
-    const auto& b = full.transfers[i];
-    ASSERT_EQ(a.edge, b.edge);
-    ASSERT_EQ(a.start, b.start);
-    ASSERT_EQ(a.arrival, b.arrival);
-    ASSERT_EQ(a.src, b.src);
-    ASSERT_EQ(a.dst, b.dst);
-  }
-  ASSERT_EQ(inc.device_busy_s, full.device_busy_s);
-  ASSERT_EQ(inc.total_compute_s, full.total_compute_s);
-  ASSERT_EQ(inc.total_memcpy_s, full.total_memcpy_s);
-}
-
-class IncrementalSimSweep : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(IncrementalSimSweep, MatchesFullSimulationAfterReplacements) {
-  int n = 0;
-  Graph g = RandomDag(GetParam(), &n);
-  Rng rng(GetParam() * 31 + 7);
-  const int devices = 2 + static_cast<int>(rng.NextBelow(3));
-  const Cluster cluster = Cluster::SingleServer(devices);
-  std::vector<DeviceId> placement;
-  for (int i = 0; i < n; ++i)
-    placement.push_back(
-        static_cast<DeviceId>(rng.NextBelow(static_cast<uint64_t>(devices))));
-  SimOptions options;
-  options.dispatch =
-      rng.NextBool(0.5) ? DispatchMode::kFifo : DispatchMode::kRandom;
-  options.seed = GetParam();
-  options.noise_cv = rng.NextBool(0.5) ? 0.0 : 0.1;
-  options.track_memory = false;
-
-  IncrementalSim inc(g, placement, cluster, options);
-  for (int step = 0; step < 8; ++step) {
-    const auto live = g.LiveOps();
-    const OpId op = live[rng.NextBelow(live.size())];
-    const DeviceId d =
-        static_cast<DeviceId>(rng.NextBelow(static_cast<uint64_t>(devices)));
-    inc.Replace(op, d);
-    const SimResult full = Simulate(g, inc.placement(), cluster, options);
-    ExpectSameSim(g, inc.result(), full);
-  }
-}
-
-TEST_P(IncrementalSimSweep, MatchesFullSimulationAfterSplits) {
-  int n = 0;
-  Graph g = RandomDag(GetParam() * 977 + 5, &n);
-  Rng rng(GetParam() * 131 + 3);
-  const int devices = 2 + static_cast<int>(rng.NextBelow(3));
-  const Cluster cluster = Cluster::SingleServer(devices);
-  std::vector<DeviceId> placement;
-  for (int i = 0; i < n; ++i)
-    placement.push_back(
-        static_cast<DeviceId>(rng.NextBelow(static_cast<uint64_t>(devices))));
-  SimOptions options;
-  options.dispatch =
-      rng.NextBool(0.5) ? DispatchMode::kFifo : DispatchMode::kRandom;
-  options.seed = GetParam();
-  options.track_memory = false;
-
-  IncrementalSim inc(g, placement, cluster, options);
-  int splits_done = 0;
-  for (int attempt = 0; attempt < 12 && splits_done < 3; ++attempt) {
-    const auto live = g.LiveOps();
-    const OpId op = live[rng.NextBelow(live.size())];
-    const int parts = 2 + static_cast<int>(rng.NextBelow(3));
-    if (!CanSplit(g, op, SplitDim::kBatch, parts)) continue;
-    const SplitResult split = SplitOperation(g, op, SplitDim::kBatch, parts);
-    const auto added = IncrementalSim::AddedOps(split);
-    std::vector<DeviceId> added_devices;
-    for (size_t i = 0; i < added.size(); ++i)
-      added_devices.push_back(static_cast<DeviceId>(
-          rng.NextBelow(static_cast<uint64_t>(devices))));
-    inc.NotifySplit(op, split, added_devices);
-    ++splits_done;
-    const SimResult full = Simulate(g, inc.placement(), cluster, options);
-    ExpectSameSim(g, inc.result(), full);
-
-    // Interleave a re-placement to exercise mixed update sequences.
-    const auto live2 = g.LiveOps();
-    const OpId op2 = live2[rng.NextBelow(live2.size())];
-    inc.Replace(op2, static_cast<DeviceId>(
-                         rng.NextBelow(static_cast<uint64_t>(devices))));
-    const SimResult full2 = Simulate(g, inc.placement(), cluster, options);
-    ExpectSameSim(g, inc.result(), full2);
-  }
-  EXPECT_GT(splits_done, 0) << "sweep never found a splittable op";
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomEdits, IncrementalSimSweep,
-                         ::testing::Range(uint64_t{1}, uint64_t{25}));
 
 // ---- Split-trial DPOS inputs ------------------------------------------------
 // The contract under test: after any split of the base graph, the inputs
