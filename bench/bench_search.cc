@@ -1,19 +1,18 @@
 // bench_search — wall-clock of the strategy search engine itself (not the
 // simulated training it optimizes): OS-DPOS end-to-end at --jobs 1 vs
 // --jobs N on one model, verifying the parallel run produces a byte-identical
-// strategy, plus the search's allocation counts, CPU-profiler coverage and
-// the searcher arena's race on the same model. The paper's own tables time
-// the simulated cluster; this times the host-side algorithms.
+// strategy, plus the search's allocation counts and the searcher arena's race
+// on the same model. The paper's own tables time the simulated cluster; this
+// times the host-side algorithms.
 //
 // Usage: bench_search [--model NAME] [--gpus N] [--batch N] [--jobs N]
-//                     [--repeat N] [--profile PATH]
+//                     [--repeat N]
 // Defaults exercise the headline configuration (largest zoo model, 8 GPUs,
 // jobs 8); CI smoke runs pass e.g. `--model lenet --gpus 2 --repeat 1`.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,9 +24,6 @@
 #include "core/portfolio.h"
 #include "core/strategy_io.h"
 #include "obs/bench_history.h"
-#include "obs/prof_export.h"
-#include "obs/profiler.h"
-#include "obs/tracer.h"
 #include "sim/exec_sim.h"
 #include "sim/profiler.h"
 #include "util/memtrack.h"
@@ -125,72 +121,6 @@ SearchAllocStats MeasureSearchAllocs(const SearchInput& in, int jobs,
   return s;
 }
 
-struct SearchProfileStats {
-  std::vector<double> span_attrib_pct;  // % of samples landing inside a span
-  std::vector<double> hot_frame_pct;    // % with a known search hot frame
-  SymbolizedProfile last;               // last repeat, for --profile output
-};
-
-// CPU-sampling coverage of the search, measured on separate untimed repeats
-// (like MeasureSearchAllocs, so the timed samples never pay the sampler).
-// The raw sample counts vary run to run, but the two *percentages* are
-// near-constant for a fixed input — the search spends all of its time under
-// spans and inside the known hot functions — so bench-diff can gate them:
-// a drop means profiler attribution broke or the search grew an untraced
-// phase, both worth failing loudly.
-SearchProfileStats MeasureSearchProfile(const SearchInput& in, int jobs,
-                                        int repeat) {
-  SetSearchJobs(jobs);
-  Tracer& tracer = Tracer::Global();
-  tracer.SetCurrentThreadName("bench main");
-  RegisterProfiledThread("bench main");
-  SearchProfileStats s;
-  for (int r = 0; r < repeat; ++r) {
-    tracer.Enable();
-    CpuProfilerOptions popts;
-    popts.hz = 997;
-    popts.epoch_ns = tracer.epoch_ns();
-    if (!CpuProfiler::Global().Start(popts)) break;
-    // Loop the search until the sampler has seen a statistically useful
-    // window; one small-model search alone is shorter than a timer period.
-    const double t0 = Now();
-    do {
-      FASTT_TRACE_SPAN("bench/search");
-      const OsDposResult os = OsDpos(in.graph, in.cluster, in.comp, in.comm);
-      (void)os;
-    } while (Now() - t0 < 0.25);
-    CpuProfiler::Global().Stop();
-    tracer.Disable();
-    tracer.Drain();  // spans only feed sample attribution here
-    const SymbolizedProfile prof =
-        SymbolizeProfile(CpuProfiler::Global().Drain());
-    if (prof.samples_total == 0) {
-      s.span_attrib_pct.push_back(0.0);
-      s.hot_frame_pct.push_back(0.0);
-      continue;
-    }
-    uint64_t hot = 0;
-    for (const ProfStackRow& row : prof.stacks) {
-      for (const std::string& frame : row.frames) {
-        if (frame.find("Dpos") != std::string::npos ||
-            frame.find("Simulate") != std::string::npos ||
-            frame.find("ParallelFor") != std::string::npos) {
-          hot += row.count;
-          break;
-        }
-      }
-    }
-    s.span_attrib_pct.push_back(100.0 *
-                                static_cast<double>(prof.span_attributed) /
-                                static_cast<double>(prof.samples_total));
-    s.hot_frame_pct.push_back(100.0 * static_cast<double>(hot) /
-                              static_cast<double>(prof.samples_total));
-    s.last = prof;
-  }
-  SetSearchJobs(1);
-  return s;
-}
-
 // Arena: race the registered searcher roster with an uncapped wall budget so
 // each quality column (the noise-free resimulated iteration time) is a
 // deterministic function of (model, gpus, batch) — machine-independent, hence
@@ -241,7 +171,6 @@ int Run(int argc, char** argv) {
   int64_t batch = 0;
   int jobs = 8;
   int repeat = 3;
-  std::string profile_path;
   for (int i = 1; i < argc; ++i) {
     auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
@@ -260,8 +189,6 @@ int Run(int argc, char** argv) {
       jobs = std::atoi(next());
     } else if (!std::strcmp(argv[i], "--repeat")) {
       repeat = std::atoi(next());
-    } else if (!std::strcmp(argv[i], "--profile")) {
-      profile_path = next();
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       return 2;
@@ -292,9 +219,6 @@ int Run(int argc, char** argv) {
 
   const ArenaStats arena = RunArena(model, gpus, batch, jobs_eff, repeat);
 
-  const SearchProfileStats profcov =
-      MeasureSearchProfile(in, jobs_eff, repeat);
-
   TablePrinter table({"measurement", "serial", "parallel", "speedup"});
   table.AddRow({StrFormat("OS-DPOS (%d probes), jobs %d of %d", serial.probes,
                           jobs_eff, jobs),
@@ -323,26 +247,6 @@ int Run(int argc, char** argv) {
   std::printf("%s", arena_table.Render().c_str());
   std::printf("arena winner: %s (%.3fms/iter over %zu searchers)\n",
               arena.winner.c_str(), arena.winner_s * 1e3, arena.names.size());
-
-  if (!profcov.span_attrib_pct.empty()) {
-    std::printf("cpu sampler: %llu samples, %.1f%% span-attributed, %.1f%% "
-                "in search hot frames\n",
-                (unsigned long long)profcov.last.samples_total,
-                profcov.span_attrib_pct.back(), profcov.hot_frame_pct.back());
-  }
-  if (!profile_path.empty() && profcov.last.samples_total > 0) {
-    std::ofstream out(profile_path);
-    if (out) {
-      out << ProfileToJson(profcov.last, {{"benchmark", "bench_search"},
-                                          {"model", model},
-                                          {"gpus", StrFormat("%d", gpus)},
-                                          {"jobs", StrFormat("%d", jobs_eff)}})
-          << "\n";
-      std::printf("wrote cpu profile to %s\n", profile_path.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", profile_path.c_str());
-    }
-  }
 
   if (const char* path = std::getenv("FASTT_BENCH_JSON");
       path != nullptr && *path != '\0') {
@@ -391,23 +295,6 @@ int Run(int argc, char** argv) {
         counted("osdpos_peak_bytes", "bytes", allocs.peak_bytes),
         counted("osdpos_obs_allocs", "count", allocs.obs_allocs),
     };
-    // Profiler coverage rows: percentages, higher is better (a drop means
-    // span attribution or stack capture regressed).
-    auto coverage = [](const std::string& name,
-                       const std::vector<double>& samples) {
-      BenchMetricSeries series;
-      series.name = name;
-      series.unit = "%";
-      series.lower_is_better = false;
-      series.samples = samples;
-      return series;
-    };
-    if (!profcov.span_attrib_pct.empty()) {
-      report.metrics.push_back(
-          coverage("profile_span_attrib_pct", profcov.span_attrib_pct));
-      report.metrics.push_back(
-          coverage("profile_hot_frame_pct", profcov.hot_frame_pct));
-    }
     // Arena rows: the iteration series is deterministic (every repeat finds
     // the same strategy under an uncapped wall budget), so bench-diff gates
     // searcher quality; the wall series rides along as context.

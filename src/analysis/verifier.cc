@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -505,28 +506,66 @@ void CheckMemory(const Graph& g, const Strategy& strategy,
   }
 }
 
+// One finding per strategy, not per edge: transfers over pairs the model
+// has never profiled are the paper's expected exploration state (priced at
+// 0 until a profiled round covers them), so thousands of per-edge warnings
+// would only bury the other rules.
 void CheckCommModel(const Graph& g, const Strategy& strategy,
-                    const CommCostModel* comm, Reporter& report) {
+                    const Cluster& cluster, const CommCostModel* comm,
+                    Reporter& report) {
   if (comm == nullptr || comm->num_pairs() == 0) return;
   report.BeginRule();  // comm.model
+  enum PairState : uint8_t { kUnseen, kPriced, kUnpriced };
+  const DeviceId n = cluster.num_devices();
+  const auto pair_index = [n](DeviceId src, DeviceId dst) {
+    return static_cast<size_t>(src) * static_cast<size_t>(n) +
+           static_cast<size_t>(dst);
+  };
+  std::vector<PairState> pairs(
+      static_cast<size_t>(n) * static_cast<size_t>(n), kUnseen);
   const std::vector<DeviceId>& placement = strategy.placement;
+  int64_t transfers = 0;
+  int unpriced_pairs = 0;
+  EdgeId first = -1;
   for (EdgeId e = 0; e < g.num_edge_slots(); ++e) {
     const Edge& edge = g.edge(e);
     if (edge.dead || g.op(edge.src).dead || g.op(edge.dst).dead) continue;
     const DeviceId src = placement[static_cast<size_t>(edge.src)];
     const DeviceId dst = placement[static_cast<size_t>(edge.dst)];
-    if (src == dst || src == kInvalidDevice || dst == kInvalidDevice) continue;
-    if (!comm->KnowsPair(src, dst)) {
-      report.Add(
-          "comm.model", VerifySeverity::kWarning, edge.dst, e,
-          StrFormat("transfer %s -> %s crosses gpu%d -> gpu%d, a pair the "
-                    "communication model has never profiled",
-                    g.op(edge.src).name.c_str(), g.op(edge.dst).name.c_str(),
-                    src, dst),
-          "the scheduler priced this transfer at 0 (explore); expect the "
-          "first profiled round to correct the schedule");
+    // Off-cluster devices are place.device's finding.
+    if (src == dst || src < 0 || dst < 0 || src >= n || dst >= n) continue;
+    PairState& state = pairs[pair_index(src, dst)];
+    if (state == kUnseen) {
+      state = comm->KnowsPair(src, dst) ? kPriced : kUnpriced;
+      if (state == kUnpriced) ++unpriced_pairs;
+    }
+    if (state == kUnpriced && transfers++ == 0) first = e;
+  }
+  if (transfers == 0) return;
+  constexpr int kListedPairs = 4;
+  std::string listed;
+  int shown = 0;
+  for (DeviceId src = 0; src < n && shown < kListedPairs; ++src) {
+    for (DeviceId dst = 0; dst < n && shown < kListedPairs; ++dst) {
+      if (pairs[pair_index(src, dst)] != kUnpriced) continue;
+      listed += StrFormat("%sgpu%d -> gpu%d", shown > 0 ? ", " : "", src,
+                          dst);
+      ++shown;
     }
   }
+  if (unpriced_pairs > shown)
+    listed += StrFormat(" and %d more", unpriced_pairs - shown);
+  const Edge& edge = g.edge(first);
+  report.Add(
+      "comm.model", VerifySeverity::kWarning, edge.dst, first,
+      StrFormat("%lld transfer%s cross %d device pair%s the communication "
+                "model has never profiled (%s); first: %s -> %s",
+                static_cast<long long>(transfers), transfers == 1 ? "" : "s",
+                unpriced_pairs, unpriced_pairs == 1 ? "" : "s",
+                listed.c_str(), g.op(edge.src).name.c_str(),
+                g.op(edge.dst).name.c_str()),
+      "the scheduler priced these transfers at 0 (explore); expect the "
+      "first profiled round to correct the schedule");
 }
 
 }  // namespace
@@ -564,7 +603,7 @@ VerifyResult VerifyStrategy(const Graph& graph, const Strategy& strategy,
                   report);
     }
     if (strategy.placement.size() == static_cast<size_t>(graph.num_slots()))
-      CheckCommModel(graph, strategy, comm, report);
+      CheckCommModel(graph, strategy, cluster, comm, report);
   }
 
   report.Flush();

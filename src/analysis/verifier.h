@@ -26,7 +26,8 @@
 //   loop.iter             unrolled-loop edges must not point backwards
 //   mem.capacity [full]   per-device peak under the declared order must fit
 //   mem.headroom [full]   ... and should leave the scheduler's headroom
-//   comm.model   [full]   cross-device edges should have a priced link
+//   comm.model   [full]   cross-device edges should have a priced link (one
+//                         warning per strategy, counting the transfers)
 //
 // Cheap rules are O(V + E) with no cost-model access and run after every
 // DPOS/OS-DPOS round inside StrategyCalculator; the [full] rules add memory

@@ -8,9 +8,7 @@
 #include "obs/build_info.h"
 #include "obs/context.h"
 #include "obs/json.h"
-#include "obs/prof_export.h"
-#include "obs/profiler.h"
-#include "obs/trace_export.h"
+#include "obs/tracer.h"
 
 namespace fastt {
 namespace {
@@ -137,22 +135,8 @@ bool WriteBlackboxDump(const std::string& path, TelemetryContext& context,
     w.Key("dropped_spans").Int(0);
   }
   w.EndObject();
-
-  // If a CPU profile was in flight when the process died, the crash comes
-  // with its last seconds of samples: stop sampling (the handler must not
-  // fire mid-dump) and fold whatever the rings have published.
-  if (CpuProfiler::Global().active()) {
-    CpuProfiler::Global().Stop();
-  }
-  {
-    const ProfileDump prof_dump = CpuProfiler::Global().Drain();
-    if (prof_dump.samples_total > 0) {
-      const SymbolizedProfile prof = SymbolizeProfile(prof_dump);
-      w.Key("profile").Raw(ProfileToJson(prof, {}));
-    }
-  }
-
   w.EndObject();
+
   std::ofstream file(path);
   if (!file) return false;
   file << w.str() << "\n";

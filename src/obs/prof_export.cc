@@ -1,8 +1,5 @@
 #include "obs/prof_export.h"
 
-#include <algorithm>
-#include <cmath>
-#include <fstream>
 #include <sstream>
 
 #include "obs/build_info.h"
@@ -65,23 +62,6 @@ std::string ProfileToJson(const SymbolizedProfile& prof,
   return w.str();
 }
 
-std::string ProfileToFolded(const SymbolizedProfile& prof) {
-  std::string out;
-  for (const ProfStackRow& row : prof.stacks) {
-    if (row.frames.empty()) continue;
-    std::string line;
-    for (size_t i = 0; i < row.frames.size(); ++i) {
-      if (i > 0) line.push_back(';');
-      line.append(row.frames[i]);
-    }
-    line.push_back(' ');
-    line.append(std::to_string(row.count));
-    line.push_back('\n');
-    out.append(line);
-  }
-  return out;
-}
-
 std::string RenderProfileTable(const SymbolizedProfile& prof, int top_n) {
   std::ostringstream os;
   os << StrFormat(
@@ -96,7 +76,7 @@ std::string RenderProfileTable(const SymbolizedProfile& prof, int top_n) {
   for (const ProfFrameRow& row : prof.frames) {
     if (top_n > 0 && rows >= top_n) break;
     // Templated frames (std::_Hashtable<...>::find) can run to hundreds of
-    // characters; keep the table readable. JSON/folded keep full names.
+    // characters; keep the table readable. The JSON keeps full names.
     std::string name = row.name;
     if (name.size() > 64) name = name.substr(0, 61) + "...";
     table.AddRow({name, std::to_string(row.self),
@@ -106,171 +86,6 @@ std::string RenderProfileTable(const SymbolizedProfile& prof, int top_n) {
     ++rows;
   }
   os << table.Render();
-  return os.str();
-}
-
-bool ParseProfDoc(const std::string& json, ProfDoc* out, std::string* error) {
-  JsonValue doc;
-  if (!JsonParse(json, &doc, error)) return false;
-  if (doc.Find("schema") == nullptr ||
-      doc.Find("schema")->StringOr("") != "fastt-prof/1") {
-    if (error != nullptr) *error = "not a fastt-prof/1 document";
-    return false;
-  }
-  *out = ProfDoc();
-  if (const JsonValue* params = doc.Find("params");
-      params != nullptr && params->is_object()) {
-    for (const auto& [k, v] : params->fields) out->params[k] = v.StringOr("");
-  }
-  out->hz = static_cast<int>(doc.Find("hz") ? doc.Find("hz")->IntOr(0) : 0);
-  out->duration_s =
-      doc.Find("duration_s") ? doc.Find("duration_s")->NumberOr(0.0) : 0.0;
-  if (const JsonValue* samples = doc.Find("samples"); samples != nullptr) {
-    auto u64 = [samples](const char* key) -> uint64_t {
-      const JsonValue* v = samples->Find(key);
-      const int64_t n = v != nullptr ? v->IntOr(0) : 0;
-      return n > 0 ? static_cast<uint64_t>(n) : 0;
-    };
-    out->samples_total = u64("total");
-    out->samples_dropped = u64("dropped");
-    out->span_attributed = u64("span_attributed");
-  }
-  const JsonValue* frames = doc.Find("frames");
-  if (frames == nullptr || !frames->is_array()) {
-    if (error != nullptr) *error = "fastt-prof/1 document has no frames array";
-    return false;
-  }
-  for (const JsonValue& f : frames->items) {
-    ProfFrameRow row;
-    row.name = f.Find("name") ? f.Find("name")->StringOr("") : "";
-    if (row.name.empty()) continue;
-    const int64_t self = f.Find("self") ? f.Find("self")->IntOr(0) : 0;
-    const int64_t total = f.Find("total") ? f.Find("total")->IntOr(0) : 0;
-    row.self = self > 0 ? static_cast<uint64_t>(self) : 0;
-    row.total = total > 0 ? static_cast<uint64_t>(total) : 0;
-    out->frames.push_back(std::move(row));
-  }
-  return true;
-}
-
-bool ReadProfDoc(const std::string& path, ProfDoc* out, std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return false;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ParseProfDoc(buf.str(), out, error);
-}
-
-ProfDiffResult DiffProfiles(const ProfDoc& old_doc, const ProfDoc& new_doc,
-                            const ProfDiffOptions& options) {
-  ProfDiffResult result;
-  std::map<std::string, double> old_share;
-  for (const ProfFrameRow& f : old_doc.frames) {
-    old_share[f.name] = Pct(f.self, old_doc.samples_total);
-  }
-  std::map<std::string, double> new_share;
-  for (const ProfFrameRow& f : new_doc.frames) {
-    new_share[f.name] = Pct(f.self, new_doc.samples_total);
-  }
-
-  const double warn_at = options.threshold_pp;
-  const double hard_at = options.threshold_pp * options.hard_factor;
-  const bool enough = old_doc.samples_total >= options.min_samples &&
-                      new_doc.samples_total >= options.min_samples;
-
-  auto classify = [&](const std::string& name, double old_pct,
-                      double new_pct) {
-    ProfDiffEntry entry;
-    entry.frame = name;
-    entry.old_self_pct = old_pct;
-    entry.new_self_pct = new_pct;
-    entry.delta_pp = new_pct - old_pct;
-    if (entry.delta_pp >= hard_at && enough) {
-      entry.verdict = ProfDiffEntry::Verdict::kHardRegression;
-      ++result.hard_regressions;
-    } else if (entry.delta_pp >= warn_at) {
-      entry.verdict = ProfDiffEntry::Verdict::kWarn;
-      ++result.warnings;
-    } else if (entry.delta_pp <= -warn_at) {
-      entry.verdict = ProfDiffEntry::Verdict::kImproved;
-      ++result.improvements;
-    } else {
-      entry.verdict = ProfDiffEntry::Verdict::kOk;
-    }
-    result.entries.push_back(std::move(entry));
-  };
-
-  for (const auto& [name, old_pct] : old_share) {
-    auto it = new_share.find(name);
-    if (it == new_share.end()) {
-      if (old_pct < options.min_share_pct) continue;
-      ProfDiffEntry entry;
-      entry.frame = name;
-      entry.old_self_pct = old_pct;
-      entry.delta_pp = -old_pct;
-      entry.verdict = ProfDiffEntry::Verdict::kUnmatched;
-      ++result.unmatched;
-      result.entries.push_back(std::move(entry));
-      continue;
-    }
-    if (old_pct < options.min_share_pct && it->second < options.min_share_pct)
-      continue;
-    classify(name, old_pct, it->second);
-  }
-  for (const auto& [name, new_pct] : new_share) {
-    if (old_share.count(name) != 0) continue;
-    if (new_pct < options.min_share_pct) continue;
-    // A frame newly appearing hot is a regression candidate like any other:
-    // its old share is 0.
-    classify(name, 0.0, new_pct);
-  }
-
-  auto severity = [](const ProfDiffEntry& e) {
-    switch (e.verdict) {
-      case ProfDiffEntry::Verdict::kHardRegression: return 0;
-      case ProfDiffEntry::Verdict::kWarn: return 1;
-      case ProfDiffEntry::Verdict::kImproved: return 2;
-      case ProfDiffEntry::Verdict::kOk: return 3;
-      case ProfDiffEntry::Verdict::kUnmatched: return 4;
-    }
-    return 5;
-  };
-  std::stable_sort(result.entries.begin(), result.entries.end(),
-                   [&severity](const ProfDiffEntry& a, const ProfDiffEntry& b) {
-                     const int sa = severity(a), sb = severity(b);
-                     if (sa != sb) return sa < sb;
-                     return std::abs(a.delta_pp) > std::abs(b.delta_pp);
-                   });
-  return result;
-}
-
-std::string RenderProfDiff(const ProfDiffResult& result,
-                           const ProfDiffOptions& options) {
-  std::ostringstream os;
-  TablePrinter table({"frame", "old self%", "new self%", "delta", "verdict"});
-  const char* names[] = {"ok", "improved", "WARN", "HARD REGRESSION",
-                         "unmatched"};
-  int shown = 0;
-  for (const ProfDiffEntry& e : result.entries) {
-    if (e.verdict == ProfDiffEntry::Verdict::kOk && shown >= 20) continue;
-    std::string frame = e.frame;
-    if (frame.size() > 64) frame = frame.substr(0, 61) + "...";
-    table.AddRow({frame, StrFormat("%.1f%%", e.old_self_pct),
-                  StrFormat("%.1f%%", e.new_self_pct),
-                  StrFormat("%+.1fpp", e.delta_pp),
-                  names[static_cast<int>(e.verdict)]});
-    ++shown;
-  }
-  os << table.Render();
-  os << StrFormat(
-      "prof-diff: %d hard regression(s), %d warning(s), %d improvement(s), "
-      "%d unmatched (warn at +%.1fpp self-share, hard at +%.1fpp)\n",
-      result.hard_regressions, result.warnings, result.improvements,
-      result.unmatched, options.threshold_pp,
-      options.threshold_pp * options.hard_factor);
   return os.str();
 }
 

@@ -1,8 +1,7 @@
-// Export, parse, render and diff surfaces for the sampling CPU profiler
-// (obs/profiler.h). Three output formats:
+// Output surfaces for the sampling CPU profiler (obs/profiler.h), both
+// used by `fastt report`:
 //
-//   fastt-prof/1 JSON — the machine-readable document `fastt profile --json`
-//     writes and `fastt prof-diff` consumes:
+//   fastt-prof/1 JSON — the report bundle's "profile" section:
 //       {"schema": "fastt-prof/1",
 //        "build": {...},                         // obs/build_info.h
 //        "params": {"model": "lenet", ...},
@@ -13,92 +12,22 @@
 //        "frames": [{"name": ..., "self": N, "total": N,
 //                    "self_pct": .., "total_pct": ..}]}  // self-desc
 //
-//   .folded text — Brendan Gregg's collapsed-stack format, one
-//     "frame;frame;frame count" line per unique stack, directly consumable
-//     by flamegraph.pl / speedscope (validated by scripts/check_folded.py).
-//
-//   top-N table — the human rendering in `fastt profile` / `fastt report`.
-//
-// DiffProfiles mirrors the bench-diff contract (obs/bench_history.h) on a
-// different axis: per-frame SELF-TIME SHARE (percent of total samples), so
-// two profiles of different lengths compare cleanly. A frame whose share
-// grew by at least `threshold_pp` percentage points earns a warning,
-// `threshold_pp * hard_factor` a hard regression — but hard only when both
-// profiles carry at least `min_samples` samples, so a near-empty profile
-// can warn yet never fail CI by itself. `fastt prof-diff` exits nonzero iff
-// hard_regressions > 0, same as bench-diff.
+//   top-N table — the human rendering `fastt report` prints.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "obs/profiler.h"
 
 namespace fastt {
 
-// ---- fastt-prof/1 ----------------------------------------------------------
-
-// Serializes a symbolized profile. `params` describes the run (model, gpus,
-// hz...) the way bench reports do.
+// Serializes a symbolized profile. `params` describes the run (command,
+// model...) the way bench reports do.
 std::string ProfileToJson(const SymbolizedProfile& prof,
                           const std::map<std::string, std::string>& params);
 
-// Collapsed-stack export: "frame;frame;frame count\n" per stack, root first.
-std::string ProfileToFolded(const SymbolizedProfile& prof);
-
 // Human top-N self/total table (top_n <= 0 means all frames).
 std::string RenderProfileTable(const SymbolizedProfile& prof, int top_n = 15);
-
-// Parses a fastt-prof/1 document back (stacks are not needed for diffing
-// and are ignored); false + `error` on malformed input or wrong schema.
-struct ProfDoc {
-  std::map<std::string, std::string> params;
-  int hz = 0;
-  double duration_s = 0.0;
-  uint64_t samples_total = 0;
-  uint64_t samples_dropped = 0;
-  uint64_t span_attributed = 0;
-  std::vector<ProfFrameRow> frames;
-};
-bool ParseProfDoc(const std::string& json, ProfDoc* out,
-                  std::string* error = nullptr);
-bool ReadProfDoc(const std::string& path, ProfDoc* out,
-                 std::string* error = nullptr);
-
-// ---- prof-diff -------------------------------------------------------------
-
-struct ProfDiffOptions {
-  double threshold_pp = 2.0;   // self-share growth (percentage points)
-                               // that earns a warning
-  double hard_factor = 2.0;    // hard failure at threshold_pp * hard_factor
-  uint64_t min_samples = 50;   // samples required on both sides to hard-fail
-  double min_share_pct = 0.5;  // ignore frames below this share on both
-                               // sides (symbol noise)
-};
-
-struct ProfDiffEntry {
-  enum class Verdict { kOk, kImproved, kWarn, kHardRegression, kUnmatched };
-  std::string frame;
-  double old_self_pct = 0.0;
-  double new_self_pct = 0.0;
-  double delta_pp = 0.0;  // new - old, >0 means the frame got hotter
-  Verdict verdict = Verdict::kOk;
-};
-
-struct ProfDiffResult {
-  std::vector<ProfDiffEntry> entries;  // worst first
-  int warnings = 0;
-  int hard_regressions = 0;
-  int improvements = 0;
-  int unmatched = 0;  // frame present on one side only (informational)
-};
-
-ProfDiffResult DiffProfiles(const ProfDoc& old_doc, const ProfDoc& new_doc,
-                            const ProfDiffOptions& options = {});
-
-std::string RenderProfDiff(const ProfDiffResult& result,
-                           const ProfDiffOptions& options);
 
 }  // namespace fastt

@@ -1,7 +1,7 @@
 // See profiler.h for the design and the signal-safety rules; the short
-// version: the handler below may only write one preallocated ring slot,
-// walk its own stack, and read the clock. Everything that allocates,
-// locks, or demangles runs post-hoc in SymbolizeProfile().
+// version: the handler below may only write one preallocated ring slot and
+// walk its own stack. Everything that allocates, locks, reads the clock or
+// demangles runs post-hoc in SymbolizeProfile() or in Start/Stop.
 #ifndef _GNU_SOURCE
 #define _GNU_SOURCE  // dladdr, SIGEV_THREAD_ID, pthread_getattr_np
 #endif
@@ -48,8 +48,6 @@ namespace {
 struct ThreadSlot {
   pid_t kernel_tid = 0;
   pthread_t pthread{};
-  int display_tid = 0;
-  std::string name;
   timer_t timer{};
   bool timer_armed = false;
   bool exited = false;
@@ -65,17 +63,16 @@ std::vector<std::unique_ptr<ThreadSlot>>& Slots() FASTT_REQUIRES(g_mu) {
   static auto* slots = new std::vector<std::unique_ptr<ThreadSlot>>();
   return *slots;
 }
-int g_next_display_tid FASTT_GUARDED_BY(g_mu) = 0;
 size_t g_ring_capacity FASTT_GUARDED_BY(g_mu) = 1 << 14;
 
 std::atomic<bool> g_active{false};
-std::atomic<int64_t> g_epoch_ns{0};
 // The signal handler's return address — i.e. the kernel's sa_restorer
 // trampoline (__restore_rt). Recorded by the handler itself so the capture
 // below can strip the signal machinery by address: the trampoline is a
 // private libc symbol dladdr can't name, so name-based stripping misses it.
 std::atomic<void*> g_trampoline{nullptr};
 int g_hz = 0;                      // written under g_mu in Start, read after
+int64_t g_start_ns = 0;            // Start's clock reading, for duration_s
 double g_duration_s = 0.0;         // wall duration of the last profile
 struct sigaction g_prev_action {}; // disposition to restore at Stop
 bool g_handler_installed = false;
@@ -173,9 +170,6 @@ extern "C" void FasttProfSignalHandler(int /*signo*/, siginfo_t* /*info*/,
                      std::memory_order_relaxed);
   const uint64_t head = slot->head.load(std::memory_order_relaxed);
   ProfRawSample& s = slot->ring[head % slot->ring.size()];
-  s.t_s = static_cast<double>(MonotonicNowNs() -
-                              g_epoch_ns.load(std::memory_order_relaxed)) *
-          1e-9;
   s.span = ProfCurrentSpan();
   s.depth = ProfCaptureStack(s.frames, kProfMaxFrames, uctx, slot->stack_hi);
   slot->head.store(head + 1, std::memory_order_release);
@@ -217,16 +211,11 @@ void DisarmSlot(ThreadSlot* slot) FASTT_REQUIRES(g_mu) {
 
 }  // namespace
 
-void RegisterProfiledThread(const char* name) {
-  if (t_slot != nullptr) {  // re-registering just renames
-    MutexLock lock(g_mu);
-    t_slot->name = name != nullptr ? name : "";
-    return;
-  }
+void RegisterProfiledThread() {
+  if (t_slot != nullptr) return;
   auto slot = std::make_unique<ThreadSlot>();
   slot->kernel_tid = static_cast<pid_t>(syscall(SYS_gettid));
   slot->pthread = pthread_self();
-  slot->name = name != nullptr ? name : "";
   pthread_attr_t attr;
   if (pthread_getattr_np(pthread_self(), &attr) == 0) {
     void* addr = nullptr;
@@ -237,7 +226,6 @@ void RegisterProfiledThread(const char* name) {
     pthread_attr_destroy(&attr);
   }
   MutexLock lock(g_mu);
-  slot->display_tid = g_next_display_tid++;
   slot->ring.resize(g_ring_capacity);
   t_slot = slot.get();
   Slots().push_back(std::move(slot));
@@ -273,8 +261,7 @@ bool CpuProfiler::Start(const CpuProfilerOptions& opts) {
   MutexLock lock(g_mu);
   g_hz = opts.hz > 0 ? opts.hz : 997;
   g_ring_capacity = opts.ring_capacity > 0 ? opts.ring_capacity : 1 << 14;
-  g_epoch_ns.store(opts.epoch_ns != 0 ? opts.epoch_ns : MonotonicNowNs(),
-                   std::memory_order_relaxed);
+  g_start_ns = MonotonicNowNs();
   g_duration_s = 0.0;
   for (auto& slot : Slots()) {
     if (slot->ring.size() != g_ring_capacity) slot->ring.resize(g_ring_capacity);
@@ -303,10 +290,7 @@ void CpuProfiler::Stop() {
   MutexLock lock(g_mu);
   g_active.store(false, std::memory_order_release);
   active_.store(false, std::memory_order_relaxed);
-  g_duration_s =
-      static_cast<double>(MonotonicNowNs() -
-                          g_epoch_ns.load(std::memory_order_relaxed)) *
-      1e-9;
+  g_duration_s = static_cast<double>(MonotonicNowNs() - g_start_ns) * 1e-9;
   for (auto& slot : Slots()) DisarmSlot(slot.get());
   if (g_handler_installed) {
     // A SIGPROF generated before timer_delete may still be pending on some
@@ -328,20 +312,12 @@ ProfileDump CpuProfiler::Drain() {
   ProfileDump dump;
   MutexLock lock(g_mu);
   dump.hz = g_hz;
-  dump.duration_s =
-      g_active.load(std::memory_order_relaxed)
-          ? static_cast<double>(
-                MonotonicNowNs() -
-                g_epoch_ns.load(std::memory_order_relaxed)) *
-                1e-9
-          : g_duration_s;
+  dump.duration_s = g_duration_s;
   for (auto& slot : Slots()) {
     const uint64_t head = slot->head.load(std::memory_order_acquire);
     if (head == 0) continue;
     const uint64_t cap = slot->ring.size();
     ProfThreadDump td;
-    td.tid = slot->display_tid;
-    td.name = slot->name;
     td.dropped = head > cap ? head - cap : 0;
     const uint64_t n = head > cap ? cap : head;
     const uint64_t first = head > cap ? head % cap : 0;
@@ -368,6 +344,9 @@ ProfileDump CpuProfiler::Drain() {
 
 // ---- Post-hoc symbolization ------------------------------------------------
 
+namespace {
+
+// True when `symbol` names one of the profiler's own capture functions.
 bool ProfIsInternalFrame(const std::string& symbol) {
   static const char* const kInternal[] = {
       "FasttProfSignalHandler", "ProfCaptureStack", "ProfWalkFramePointers",
@@ -379,6 +358,8 @@ bool ProfIsInternalFrame(const std::string& symbol) {
   return false;
 }
 
+// Resolves one PC to a display name ("fastt::OsDpos", or "module+0x1234"
+// when no symbol covers it).
 std::string ProfSymbolizePc(void* pc) {
   // Non-leaf entries are return addresses: the sample "belongs" to the call
   // one byte earlier, and a call as a function's final instruction would
@@ -393,13 +374,9 @@ std::string ProfSymbolizePc(void* pc) {
     std::string name =
         (status == 0 && demangled != nullptr) ? demangled : info.dli_sname;
     std::free(demangled);
-    // Drop the argument list — flat frame names fold far better — and keep
-    // the name safe for the folded format (';' is the stack separator).
+    // Drop the argument list — flat frame names fold far better.
     const size_t paren = name.find('(');
     if (paren != std::string::npos && paren > 0) name.resize(paren);
-    for (char& c : name) {
-      if (c == ';' || c == '\n' || c == '\t') c = ':';
-    }
     return name;
   }
   char buf[64];
@@ -416,6 +393,8 @@ std::string ProfSymbolizePc(void* pc) {
   }
   return buf;
 }
+
+}  // namespace
 
 SymbolizedProfile SymbolizeProfile(const ProfileDump& dump) {
   SymbolizedProfile out;

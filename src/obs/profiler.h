@@ -5,25 +5,25 @@
 // "which functions actually burned the CPU", including everything outside
 // hand-placed spans. It is a classic POSIX SIGPROF sampler: every registered
 // thread owns a per-thread CPU-time timer (timer_create on the thread's CPU
-// clock, SIGEV_THREAD_ID delivery) that fires at --hz and interrupts the
-// thread wherever it happens to be; the signal handler captures the call
-// stack and appends it to a lock-free single-writer ring buffer mirroring
-// the tracer's design (release-store on the head publishes slots, overflow
-// overwrites the oldest sample and is counted, never silent).
+// clock, SIGEV_THREAD_ID delivery) that fires at CpuProfilerOptions::hz
+// and interrupts the thread wherever it happens to be; the signal handler
+// captures the call stack and appends it to a lock-free single-writer ring
+// buffer mirroring the tracer's design (release-store on the head publishes
+// slots, overflow overwrites the oldest sample and is counted, never
+// silent).
 //
 // Signal-safety rules the handler obeys (see DESIGN.md §16):
-//   - no allocation, no locks, no stdio: it writes one preallocated ring
-//     slot and touches only async-signal-safe calls (clock_gettime) plus a
-//     frame-pointer walk over its own stack;
+//   - no allocation, no locks, no stdio, no clock: it writes one
+//     preallocated ring slot and walks its own stack's frame pointers;
 //   - errno is saved and restored;
 //   - the stack walk prefers the frame-pointer chain (validated against the
 //     registered thread's stack bounds, cached at registration time from
 //     pthread_getattr_np) and falls back to backtrace(), which Start() has
 //     already warmed up so its one-time dlopen/malloc happens outside any
 //     handler;
-//   - everything else — symbolization (dladdr + __cxa_demangle), folding,
-//     aggregation — happens post-hoc in SymbolizeProfile(), in normal
-//     context.
+//   - everything else — symbolization (dladdr + __cxa_demangle), stack
+//     folding, aggregation — happens post-hoc in SymbolizeProfile(), in
+//     normal context.
 //
 // Sample→span join: TraceScope maintains a per-thread stack of the names of
 // currently-open tracer spans (ProfSpanPush/ProfSpanPop below — a fixed
@@ -37,8 +37,9 @@
 // two relaxed stores only when tracing itself is already on.
 //
 // This header is dependency-free (library fastt_tracer) so the thread pool
-// in fastt_util can register its workers without a util <-> obs cycle; JSON
-// / folded-stack export and diffing live in obs/prof_export.h.
+// in fastt_util can register its workers without a util <-> obs cycle; the
+// JSON export and the top-N table `fastt report` prints live in
+// obs/prof_export.h.
 #pragma once
 
 #include <atomic>
@@ -94,15 +95,12 @@ inline constexpr int kProfMaxFrames = 48;
 // open tracer span at interrupt time. POD on purpose — written from the
 // signal handler into a preallocated ring slot.
 struct ProfRawSample {
-  double t_s = 0.0;           // seconds since the profile epoch
   int depth = 0;              // frames captured (0 = capture failed)
   const char* span = nullptr; // innermost open tracer span, if any
   void* frames[kProfMaxFrames];
 };
 
 struct ProfThreadDump {
-  int tid = 0;  // registration order, stable across a profile
-  std::string name;
   uint64_t dropped = 0;  // overwritten by ring wraparound
   std::vector<ProfRawSample> samples;
 };
@@ -122,9 +120,6 @@ struct CpuProfilerOptions {
   int hz = 997;                    // sampling rate (prime: avoids beating
                                    // with periodic work at round rates)
   size_t ring_capacity = 1 << 14;  // samples per thread ring
-  int64_t epoch_ns = 0;            // steady-clock ns origin for sample
-                                   // timestamps; 0 = "now" (pass the
-                                   // tracer's epoch to merge timelines)
 };
 
 // Process-wide sampling profiler. A single instance: SIGPROF has one
@@ -150,10 +145,8 @@ class CpuProfiler {
   void Stop();
   bool active() const { return active_.load(std::memory_order_relaxed); }
 
-  // Collects every ring's samples. Requires the profiler stopped (the CLI
-  // drains after Stop; the crash black box is the one excused caller — it
-  // reads whatever is published mid-flight, which single-writer rings make
-  // safe). Samples from threads that have since exited are retained.
+  // Collects every ring's samples. Requires the profiler stopped. Samples
+  // from threads that have since exited are retained.
   ProfileDump Drain();
 
  private:
@@ -161,9 +154,8 @@ class CpuProfiler {
 };
 
 // Opts the calling thread into profiling: allocates its ring + stack-bounds
-// slot and, if a profile is running, arms its timer. Idempotent per thread
-// (re-registering renames). `name` labels the thread in the output.
-void RegisterProfiledThread(const char* name);
+// slot and, if a profile is running, arms its timer. Idempotent per thread.
+void RegisterProfiledThread();
 // Disarms and detaches the calling thread's slot (samples already recorded
 // survive until the next Drain). Called by exiting pool workers.
 void UnregisterProfiledThread();
@@ -203,13 +195,5 @@ struct SymbolizedProfile {
 // Resolves every PC through dladdr + demangling, strips the handler's own
 // frames, folds identical stacks, and aggregates per-frame self/total.
 SymbolizedProfile SymbolizeProfile(const ProfileDump& dump);
-
-// Resolves one PC to a display name ("fastt::OsDpos", or "module+0x1234"
-// when no symbol covers it). Exposed for the Chrome-trace sample track.
-std::string ProfSymbolizePc(void* pc);
-
-// True when `symbol` names one of the profiler's own capture functions —
-// export uses it to strip handler frames from symbolized stacks.
-bool ProfIsInternalFrame(const std::string& symbol);
 
 }  // namespace fastt

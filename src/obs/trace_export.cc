@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_map>
 
 #include "obs/json.h"
-#include "obs/profiler.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -14,11 +12,12 @@ namespace {
 
 int64_t Us(double seconds) { return static_cast<int64_t>(seconds * 1e6); }
 
-// Sample tracks live on tids offset past the span tracks so Perfetto shows
-// "cpu samples: <thread>" rows under the same pid-1 process group.
-constexpr int kSampleTidOffset = 1000;
+}  // namespace
 
-void WriteChromeEvents(JsonWriter& w, const TraceDump& dump) {
+std::string TraceToChromeJson(const TraceDump& dump) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("traceEvents").BeginArray();
   for (const TraceThreadInfo& t : dump.threads) {
     w.BeginObject();
     w.Key("name").String("thread_name");
@@ -61,86 +60,11 @@ void WriteChromeEvents(JsonWriter& w, const TraceDump& dump) {
     }
     w.EndObject();
   }
-}
-
-void WriteChromeSampleEvents(JsonWriter& w, const ProfileDump& prof) {
-  std::unordered_map<void*, std::string> cache;
-  auto leaf_symbol = [&cache](const ProfRawSample& s) -> const std::string* {
-    for (int i = 0; i < s.depth; ++i) {
-      auto it = cache.find(s.frames[i]);
-      if (it == cache.end()) {
-        it = cache.emplace(s.frames[i], ProfSymbolizePc(s.frames[i])).first;
-      }
-      if (!ProfIsInternalFrame(it->second)) return &it->second;
-    }
-    return nullptr;
-  };
-  for (const ProfThreadDump& td : prof.threads) {
-    const int tid = kSampleTidOffset + td.tid;
-    w.BeginObject();
-    w.Key("name").String("thread_name");
-    w.Key("ph").String("M");
-    w.Key("pid").Int(1);
-    w.Key("tid").Int(tid);
-    w.Key("args").BeginObject();
-    w.Key("name").String(StrFormat(
-        "cpu samples: %s",
-        td.name.empty() ? StrFormat("thread %d", td.tid).c_str()
-                        : td.name.c_str()));
-    w.EndObject();
-    w.EndObject();
-    for (const ProfRawSample& s : td.samples) {
-      const std::string* leaf = leaf_symbol(s);
-      w.BeginObject();
-      w.Key("name").String(leaf != nullptr ? *leaf : "[unknown]");
-      w.Key("ph").String("i");
-      w.Key("s").String("t");
-      w.Key("cat").String("cpu_sample");
-      w.Key("pid").Int(1);
-      w.Key("tid").Int(tid);
-      w.Key("ts").Int(Us(s.t_s));
-      if (s.span != nullptr) {
-        w.Key("args").BeginObject();
-        w.Key("span").String(s.span);
-        w.EndObject();
-      }
-      w.EndObject();
-    }
-  }
-}
-
-}  // namespace
-
-std::string TraceToChromeJson(const TraceDump& dump) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("traceEvents").BeginArray();
-  WriteChromeEvents(w, dump);
   w.EndArray();
   w.Key("displayTimeUnit").String("ms");
   w.Key("metadata").BeginObject();
   w.Key("dropped_events").Int(static_cast<int64_t>(dump.dropped_events));
   w.Key("dropped_spans").Int(static_cast<int64_t>(dump.dropped_spans));
-  w.EndObject();
-  w.EndObject();
-  return w.str();
-}
-
-std::string TraceToChromeJson(const TraceDump& dump, const ProfileDump& prof) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("traceEvents").BeginArray();
-  WriteChromeEvents(w, dump);
-  // Both timelines share the epoch (the profiler is started with the
-  // tracer's epoch_ns), so samples land on the span timeline directly.
-  WriteChromeSampleEvents(w, prof);
-  w.EndArray();
-  w.Key("displayTimeUnit").String("ms");
-  w.Key("metadata").BeginObject();
-  w.Key("dropped_events").Int(static_cast<int64_t>(dump.dropped_events));
-  w.Key("dropped_spans").Int(static_cast<int64_t>(dump.dropped_spans));
-  w.Key("samples").Int(static_cast<int64_t>(prof.samples_total));
-  w.Key("samples_dropped").Int(static_cast<int64_t>(prof.samples_dropped));
   w.EndObject();
   w.EndObject();
   return w.str();

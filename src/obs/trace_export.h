@@ -17,13 +17,6 @@ namespace fastt {
 // view keeps them apart).
 std::string TraceToChromeJson(const TraceDump& dump);
 
-// Same, plus CPU-sample tracks from the sampling profiler: one extra
-// "cpu samples: <thread>" row per profiled thread (tid offset +1000),
-// each sample an instant event named by its leaf symbol. Valid only when
-// the profile shared the tracer's epoch (CpuProfilerOptions::epoch_ns =
-// tracer.epoch_ns()), which `fastt search-profile --profile` arranges.
-std::string TraceToChromeJson(const TraceDump& dump, const ProfileDump& prof);
-
 // One row per distinct span name. `self_s` is `total_s` minus time covered
 // by child spans on the same thread — where the clock actually ticked.
 struct TracePhase {

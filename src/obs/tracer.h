@@ -114,13 +114,6 @@ class Tracer {
   // a subsequent drain starts empty. Requires quiescence.
   TraceDump Drain();
 
-  // steady_clock nanoseconds at Enable(). The CPU profiler starts from the
-  // same origin so sample timestamps land on the span timeline when both
-  // are exported into one Chrome trace.
-  int64_t epoch_ns() const {
-    return epoch_ns_.load(std::memory_order_relaxed);
-  }
-
  private:
   enum Kind : uint8_t { kBegin, kEnd, kInstant, kCounter };
 

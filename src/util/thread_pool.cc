@@ -45,7 +45,7 @@ void ThreadPool::WorkerLoop(int worker_index) {
   // Workers opt into CPU sampling for their whole lifetime: if a profile is
   // running their timers arm immediately, otherwise the slot sits idle
   // until a Start() arms it.
-  RegisterProfiledThread(thread_name.c_str());
+  RegisterProfiledThread();
   for (;;) {
     Task task;
     {

@@ -244,15 +244,30 @@ TEST(Verifier, ColocationViolationIsNamed) {
 
 TEST(Verifier, UnknownCommPairWarnsOnly) {
   Fixture f;
-  f.strategy.placement[static_cast<size_t>(f.loss)] = 1;  // cross-device edge
+  // input -> matmul and w -> matmul both cross gpu0 -> gpu1; matmul -> loss
+  // stays on gpu1.
+  f.strategy.placement[static_cast<size_t>(f.matmul)] = 1;
+  f.strategy.placement[static_cast<size_t>(f.loss)] = 1;
   CommCostModel comm;
   comm.AddSample(1, 0, 1 << 20, 1e-4);  // knows (1,0) but not (0,1)
   comm.AddSample(1, 0, 64 << 20, 2e-3);
   const VerifyResult result =
       VerifyStrategy(f.graph, f.strategy, f.cluster, &comm, {});
   EXPECT_TRUE(result.ok());
-  EXPECT_TRUE(HasRule(result, "comm.model"))
-      << RenderDiagnostics(f.graph, result);
+  // Two unpriced transfers make one finding for the strategy, not one each.
+  EXPECT_EQ(result.warnings, 1) << RenderDiagnostics(f.graph, result);
+  int comm_diags = 0;
+  for (const Diagnostic& d : result.diagnostics) {
+    if (d.rule_id != "comm.model") continue;
+    ++comm_diags;
+    EXPECT_NE(d.message.find("2 transfers cross 1 device pair"),
+              std::string::npos)
+        << d.message;
+    EXPECT_NE(d.message.find("gpu0 -> gpu1"), std::string::npos) << d.message;
+    EXPECT_EQ(d.op, f.matmul);
+    EXPECT_NE(d.edge, -1);
+  }
+  EXPECT_EQ(comm_diags, 1);
 }
 
 TEST(Verifier, PerRuleCapSummarizesSuppressedFindings) {

@@ -37,15 +37,6 @@
 //   fastt bench-diff <old.json> <new.json> [--threshold T] [--min-repeats R]
 //       Compare two fastt-bench/1 reports (FASTT_BENCH_JSON output).
 //       Exits nonzero on a hard regression — the CI gate.
-//   fastt profile <model> [--hz N] [--seconds S] [--json F] [--folded F]
-//       Run the OS-DPOS search in a loop under the sampling CPU profiler
-//       (obs/profiler.h) and report where the cycles went: a top-N
-//       self/total frame table, per-sample span attribution, and optionally
-//       the fastt-prof/1 JSON (--json) plus collapsed-stack flamegraph
-//       input (--folded, flamegraph.pl / speedscope format).
-//   fastt prof-diff <old.json> <new.json> [--threshold PP]
-//       Compare two fastt-prof/1 profiles by per-frame self-time share.
-//       Exits nonzero on a hard regression — the perf twin of bench-diff.
 //   fastt verify <model> [--strategy f] [--gpus N] [--batch B] [--json F]
 //       Run the full strategy verifier (analysis/verifier.h rule catalog)
 //       over a strategy for <model>: with --strategy, a serialized strategy
@@ -62,9 +53,10 @@
 //
 //   fastt report <model> [report.json] [--gpus N] [--batch B] [--jobs N]
 //       Run the full FastT workflow inside a fresh TelemetryContext with the
-//       tracer and heap tracker on, and write the richest fastt-report/1
-//       bundle: metrics, workflow events, calibration, verifier summary,
-//       memstat totals and trace phase self-times in one JSON document.
+//       tracer, heap tracker and sampling CPU profiler on, print the top
+//       CPU frames, and write the richest fastt-report/1 bundle: metrics,
+//       workflow events, calibration, verifier summary, memstat totals,
+//       trace phase self-times and the CPU profile in one JSON document.
 //
 // Every command also accepts `--jobs N` (or FASTT_JOBS=N) to parallelize the
 // strategy search across N threads — the computed strategy is bit-identical
@@ -81,10 +73,11 @@
 //   --log-level <level>       error|warn|info|debug (or FASTT_LOG_LEVEL)
 //   --trace-search <out.json> (or FASTT_TRACE_SEARCH=path) records the
 //                             strategy search itself as a Chrome trace
-//   --profile <out.json>      sample the whole command under the CPU
-//                             profiler and write a fastt-prof/1 document
-//                             (on search-profile: also merges sample tracks
-//                             into the Chrome trace)
+//
+// An argument the CLI cannot place (an unknown flag, a flag without its
+// value, a malformed number, a third positional) and a cluster, batch or
+// jobs value it cannot honour print one line and exit 2.
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -147,94 +140,123 @@ struct Args {
   std::string blackbox_path;     // --blackbox: arm the crash black-box
   std::string log_level;         // --log-level: error|warn|info|debug
   std::string trace_search_path;  // --trace-search: search Chrome trace
-  std::string profile_path;  // --profile: fastt-prof/1 CPU profile output
-  std::string folded_path;   // --folded: collapsed-stack flamegraph output
   int gpus = 4;
   int servers = 1;
   int jobs = 0;  // --jobs: search threads; 0 = keep FASTT_JOBS / default
   int budget_ms = 2000;  // --budget-ms: arena wall-clock budget per racer
-  int profile_hz = 997;  // --hz: profiler sampling rate
-  double profile_seconds = 1.0;  // --seconds: `fastt profile` loop duration
-  int top_n = 15;        // --top: profile table rows
   int64_t batch = 0;  // 0 = model default
   Scaling scaling = Scaling::kStrong;
   BenchDiffOptions diff;  // bench-diff: --threshold / --min-repeats / ...
-  ProfDiffOptions prof_diff;  // prof-diff: --threshold (pp) / --min-samples
 };
 
-Args Parse(int argc, char** argv) {
-  Args args;
-  if (argc > 1) args.command = argv[1];
+bool ParseValue(const char* text, std::string* out) {
+  *out = text;
+  return true;
+}
+
+// The whole of `text` must be the number.
+template <typename T>
+bool ParseValue(const char* text, T* out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+// Fills `args` from argv. Returns "" on success, else one line naming the
+// argument it could not place.
+std::string Parse(int argc, char** argv, Args* args) {
+  if (argc > 1) args->command = argv[1];
+  const std::pair<const char*, std::string*> text_flags[] = {
+      {"--op", &args->op},
+      {"--strategy", &args->strategy_path},
+      {"--metrics", &args->metrics_path},
+      {"--json", &args->json_path},
+      {"--report", &args->report_path},
+      {"--openmetrics", &args->openmetrics_path},
+      {"--blackbox", &args->blackbox_path},
+      {"--log-level", &args->log_level},
+      {"--trace-search", &args->trace_search_path},
+  };
+  const std::pair<const char*, int*> int_flags[] = {
+      {"--gpus", &args->gpus},
+      {"--servers", &args->servers},
+      {"--jobs", &args->jobs},
+      {"--budget-ms", &args->budget_ms},
+      {"--min-repeats", &args->diff.min_repeats},
+  };
+  const std::pair<const char*, int64_t*> int64_flags[] = {
+      {"--batch", &args->batch},
+  };
+  const std::pair<const char*, double*> real_flags[] = {
+      {"--threshold", &args->diff.threshold},
+      {"--hard-factor", &args->diff.hard_factor},
+  };
   int positional = 0;
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : "";
-    };
-    if (a == "--gpus") {
-      args.gpus = std::atoi(next());
-    } else if (a == "--servers") {
-      args.servers = std::atoi(next());
-    } else if (a == "--batch") {
-      args.batch = std::atoll(next());
-    } else if (a == "--jobs") {
-      args.jobs = std::atoi(next());
-    } else if (a == "--budget-ms") {
-      args.budget_ms = std::atoi(next());
-    } else if (a == "--op") {
-      args.op = next();
-    } else if (a == "--strategy") {
-      args.strategy_path = next();
-    } else if (a == "--metrics") {
-      args.metrics_path = next();
-    } else if (a == "--json") {
-      args.json_path = next();
-    } else if (a == "--report") {
-      args.report_path = next();
-    } else if (a == "--openmetrics") {
-      args.openmetrics_path = next();
-    } else if (a == "--blackbox") {
-      args.blackbox_path = next();
-    } else if (a == "--log-level") {
-      args.log_level = next();
-    } else if (a == "--trace-search") {
-      args.trace_search_path = next();
-    } else if (a == "--profile") {
-      args.profile_path = next();
-    } else if (a == "--folded") {
-      args.folded_path = next();
-    } else if (a == "--hz") {
-      args.profile_hz = std::atoi(next());
-    } else if (a == "--seconds") {
-      args.profile_seconds = std::atof(next());
-    } else if (a == "--top") {
-      args.top_n = std::atoi(next());
-    } else if (a == "--threshold") {
-      // Shared spelling, per-command scale: a relative delta for
-      // bench-diff, percentage points of self share for prof-diff.
-      const double v = std::atof(next());
-      args.diff.threshold = v;
-      args.prof_diff.threshold_pp = v;
-    } else if (a == "--hard-factor") {
-      const double v = std::atof(next());
-      args.diff.hard_factor = v;
-      args.prof_diff.hard_factor = v;
-    } else if (a == "--min-repeats") {
-      args.diff.min_repeats = std::atoi(next());
-    } else if (a == "--min-samples") {
-      args.prof_diff.min_samples =
-          static_cast<uint64_t>(std::atoll(next()));
-    } else if (a == "--weak") {
-      args.scaling = Scaling::kWeak;
-    } else if (positional == 0) {
-      args.model = a;
-      ++positional;
-    } else {
-      args.path = a;
-      ++positional;
+    if (a == "--weak") {
+      args->scaling = Scaling::kWeak;
+      continue;
     }
+    if (a.size() < 2 || a[0] != '-') {
+      if (positional == 0) {
+        args->model = a;
+      } else if (positional == 1) {
+        args->path = a;
+      } else {
+        return StrFormat("unexpected argument \"%s\" after \"%s\" and "
+                         "\"%s\"",
+                         a.c_str(), args->model.c_str(), args->path.c_str());
+      }
+      ++positional;
+      continue;
+    }
+    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
+    bool known = false;
+    bool parsed = false;
+    auto match = [&](const auto& flags) {
+      for (const auto& [name, field] : flags) {
+        if (a != name) continue;
+        known = true;
+        parsed = value != nullptr && ParseValue(value, field);
+      }
+    };
+    match(text_flags);
+    match(int_flags);
+    match(int64_flags);
+    match(real_flags);
+    if (!known) return StrFormat("unknown option \"%s\"", a.c_str());
+    if (value == nullptr) return StrFormat("%s needs a value", a.c_str());
+    if (!parsed)
+      return StrFormat("bad value \"%s\" for %s", value, a.c_str());
+    ++i;
   }
-  return args;
+  return "";
+}
+
+// The one check of the cluster, batch and jobs values, run before any
+// command: below these bounds MakeCluster and the graph builders either
+// CHECK-fail or quietly run a configuration nobody asked for.
+std::string CheckArgs(const Args& args) {
+  if (args.gpus < 1)
+    return StrFormat("--gpus must be at least 1, got %d", args.gpus);
+  if (args.servers < 1)
+    return StrFormat("--servers must be at least 1, got %d", args.servers);
+  if (args.gpus % args.servers != 0)
+    return StrFormat("--gpus %d does not divide evenly over --servers %d",
+                     args.gpus, args.servers);
+  if (args.batch < 0)
+    return StrFormat("--batch must be positive, got %lld",
+                     (long long)args.batch);
+  if (args.scaling == Scaling::kStrong && args.batch > 0 &&
+      args.batch < args.gpus)
+    return StrFormat("--batch %lld is smaller than --gpus %d; strong "
+                     "scaling splits the batch over the GPUs (or pass "
+                     "--weak)",
+                     (long long)args.batch, args.gpus);
+  if (args.jobs < 0)
+    return StrFormat("--jobs must be at least 0, got %d", args.jobs);
+  return "";
 }
 
 Cluster MakeCluster(const Args& args) {
@@ -541,19 +563,6 @@ int CmdSearchProfile(const Args& args) {
   Tracer& tracer = Tracer::Global();
   tracer.SetCurrentThreadName("search main");
   tracer.Enable();
-  // With --profile the CPU sampler runs alongside the tracer on the same
-  // epoch, so its sample tracks merge into the Chrome trace timeline.
-  const bool do_profile = !args.profile_path.empty();
-  if (do_profile) {
-    RegisterProfiledThread("search main");
-    CpuProfilerOptions popts;
-    popts.hz = args.profile_hz;
-    popts.epoch_ns = tracer.epoch_ns();
-    if (!CpuProfiler::Global().Start(popts)) {
-      std::fprintf(stderr, "cannot start CPU profiler\n");
-      return 1;
-    }
-  }
   const auto t0 = std::chrono::steady_clock::now();
   int probes = 0;
   size_t splits = 0;
@@ -568,11 +577,8 @@ int CmdSearchProfile(const Args& args) {
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  if (do_profile) CpuProfiler::Global().Stop();
   tracer.Disable();
   const TraceDump dump = tracer.Drain();
-  const ProfileDump prof_dump =
-      do_profile ? CpuProfiler::Global().Drain() : ProfileDump{};
   const TraceSummary summary = SummarizeTrace(dump);
 
   std::printf("OS-DPOS: %d split probes, %zu splits committed, predicted "
@@ -609,24 +615,6 @@ int CmdSearchProfile(const Args& args) {
               HumanBytes(static_cast<double>(d_mem.peak_bytes)).c_str());
   mem.Disable();
 
-  if (do_profile) {
-    const SymbolizedProfile prof = SymbolizeProfile(prof_dump);
-    std::printf("\n");
-    std::fputs(RenderProfileTable(prof, args.top_n).c_str(), stdout);
-    std::ofstream pf(args.profile_path);
-    if (!pf) {
-      std::fprintf(stderr, "cannot write %s\n", args.profile_path.c_str());
-      return 1;
-    }
-    pf << ProfileToJson(prof,
-                        {{"command", "search-profile"},
-                         {"model", spec.name},
-                         {"gpus", StrFormat("%d", args.gpus)},
-                         {"jobs", StrFormat("%d", SearchJobs())}})
-       << "\n";
-    std::printf("wrote cpu profile to %s\n", args.profile_path.c_str());
-  }
-
   const std::string out_path =
       !args.path.empty() ? args.path : args.trace_search_path;
   if (!out_path.empty()) {
@@ -635,9 +623,7 @@ int CmdSearchProfile(const Args& args) {
       std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
       return 1;
     }
-    out << (do_profile ? TraceToChromeJson(dump, prof_dump)
-                       : TraceToChromeJson(dump))
-        << "\n";
+    out << TraceToChromeJson(dump) << "\n";
     std::printf("wrote search trace to %s — load in chrome://tracing or "
                 "Perfetto\n",
                 out_path.c_str());
@@ -1073,15 +1059,12 @@ int CmdReport(const Args& args) {
   TelemetryContext context;
   context.tracer().SetCurrentThreadName("report main");
   context.tracer().Enable();
-  // The report workflow doubles as a profiling window: the CPU sampler runs
-  // across the whole run and lands as a top-N frame table plus a "profile"
-  // section in the bundle. Start can fail (e.g. an outer profiler already
-  // owns the timers); the report just goes without in that case.
-  RegisterProfiledThread("report main");
-  CpuProfilerOptions popts;
-  popts.hz = args.profile_hz;
-  popts.epoch_ns = context.tracer().epoch_ns();
-  const bool profiling = CpuProfiler::Global().Start(popts);
+  // The report workflow doubles as the CLI's profiling window: the CPU
+  // sampler runs across the whole run and lands as a top-N frame table plus
+  // a "profile" section in the bundle. Start can fail (e.g. the timers
+  // cannot be created); the report just goes without in that case.
+  RegisterProfiledThread();
+  const bool profiling = CpuProfiler::Global().Start(CpuProfilerOptions{});
   MemTracker& mem = context.memtrack();
   mem.Enable();
 
@@ -1111,7 +1094,7 @@ int CmdReport(const Args& args) {
               verify.errors, verify.warnings);
   if (profiling && prof.samples_total > 0) {
     std::printf("\n");
-    std::fputs(RenderProfileTable(prof, args.top_n).c_str(), stdout);
+    std::fputs(RenderProfileTable(prof).c_str(), stdout);
   }
 
   RunReport report("report", spec.name);
@@ -1177,137 +1160,6 @@ int CmdBenchDiff(const Args& args) {
   return result.hard_regressions > 0 ? 1 : 0;
 }
 
-// `fastt profile` — run the OS-DPOS search in a loop under the sampling CPU
-// profiler until --seconds of wall clock accumulates, then fold the stacks.
-// This answers "where do the cycles go" below the span level: the tracer
-// gives phase totals, the sampler gives the hot frames inside them.
-int CmdProfile(const Args& args) {
-  const ModelSpec* specp = RequireModel(args.model);
-  if (specp == nullptr) return 2;
-  const ModelSpec& spec = *specp;
-  const int64_t batch = args.batch > 0 ? args.batch : spec.strong_batch;
-  const Cluster cluster = MakeCluster(args);
-
-  // Same bootstrap as search-profile: calibrate the cost models against one
-  // simulated data-parallel run so the profiled search is the real one.
-  auto dp = BuildDataParallel(spec.build, spec.name, batch,
-                              cluster.num_devices(), args.scaling);
-  const std::vector<DeviceId> placement = CanonicalDataParallelPlacement(dp);
-  const Graph graph = std::move(dp.graph);
-  SimOptions so;
-  so.noise_cv = 0.03;
-  so.seed = 11;
-  const RunProfile profile =
-      ExtractProfile(graph, Simulate(graph, placement, cluster, so));
-  CompCostModel comp;
-  CommCostModel comm;
-  comp.AddProfile(profile);
-  comm.AddProfile(profile);
-
-  std::printf("profile: %s, batch %lld, %s, %d jobs, %d Hz for >= %.1f s\n",
-              spec.name.c_str(), (long long)batch, cluster.ToString().c_str(),
-              SearchJobs(), args.profile_hz, args.profile_seconds);
-
-  // The tracer must run for sample->span attribution; its own dump is
-  // discarded here (use search-profile for the timeline view).
-  Tracer& tracer = Tracer::Global();
-  tracer.SetCurrentThreadName("search main");
-  tracer.Enable();
-  RegisterProfiledThread("search main");
-  CpuProfilerOptions popts;
-  popts.hz = args.profile_hz;
-  popts.epoch_ns = tracer.epoch_ns();
-  if (!CpuProfiler::Global().Start(popts)) {
-    std::fprintf(stderr, "cannot start CPU profiler\n");
-    return 1;
-  }
-  // One small-model search is sub-millisecond; repeat until the wall-clock
-  // floor so the sampler sees enough timer periods regardless of model size.
-  const auto t0 = std::chrono::steady_clock::now();
-  int reps = 0;
-  int probes = 0;
-  size_t splits = 0;
-  double wall_s = 0.0;
-  do {
-    FASTT_TRACE_SPAN("profile/search");
-    const OsDposResult os = OsDpos(graph, cluster, comp, comm);
-    probes = os.probes;
-    splits = os.splits.size();
-    ++reps;
-    wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-  } while (wall_s < args.profile_seconds);
-  CpuProfiler::Global().Stop();
-  tracer.Disable();
-  tracer.Drain();  // spans served their purpose (attribution); drop them
-
-  const ProfileDump dump = CpuProfiler::Global().Drain();
-  const SymbolizedProfile prof = SymbolizeProfile(dump);
-  std::printf("%d search repetitions (%d split probes, %zu splits each) in "
-              "%.2f s\n\n",
-              reps, probes, splits, wall_s);
-  std::fputs(RenderProfileTable(prof, args.top_n).c_str(), stdout);
-  std::printf("span-attributed: %.1f%% of %llu samples\n",
-              prof.samples_total > 0
-                  ? 100.0 * static_cast<double>(prof.span_attributed) /
-                        static_cast<double>(prof.samples_total)
-                  : 0.0,
-              (unsigned long long)prof.samples_total);
-
-  const std::map<std::string, std::string> params = {
-      {"command", "profile"},
-      {"model", spec.name},
-      {"gpus", StrFormat("%d", args.gpus)},
-      {"batch", StrFormat("%lld", (long long)batch)},
-      {"jobs", StrFormat("%d", SearchJobs())},
-      {"reps", StrFormat("%d", reps)}};
-  if (!args.json_path.empty()) {
-    std::ofstream out(args.json_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", args.json_path.c_str());
-      return 1;
-    }
-    out << ProfileToJson(prof, params) << "\n";
-    std::printf("wrote cpu profile to %s\n", args.json_path.c_str());
-  }
-  if (!args.folded_path.empty()) {
-    std::ofstream out(args.folded_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", args.folded_path.c_str());
-      return 1;
-    }
-    out << ProfileToFolded(prof);
-    std::printf("wrote collapsed stacks to %s — feed to flamegraph.pl or "
-                "speedscope\n",
-                args.folded_path.c_str());
-  }
-  ReportSections sections;
-  if (!args.report_path.empty())
-    sections.push_back({"profile", ProfileToJson(prof, params)});
-  WriteRunArtifacts(args, nullptr, sections);
-  return 0;
-}
-
-int CmdProfDiff(const Args& args) {
-  ProfDoc old_doc;
-  ProfDoc new_doc;
-  std::string error;
-  if (!ReadProfDoc(args.model, &old_doc, &error)) {
-    std::fprintf(stderr, "prof-diff: %s: %s\n", args.model.c_str(),
-                 error.c_str());
-    return 2;
-  }
-  if (!ReadProfDoc(args.path, &new_doc, &error)) {
-    std::fprintf(stderr, "prof-diff: %s: %s\n", args.path.c_str(),
-                 error.c_str());
-    return 2;
-  }
-  const ProfDiffResult result = DiffProfiles(old_doc, new_doc, args.prof_diff);
-  std::fputs(RenderProfDiff(result, args.prof_diff).c_str(), stdout);
-  return result.hard_regressions > 0 ? 1 : 0;
-}
-
 // One usage line per command, keyed by name, so misuse of a known command
 // prints that command's synopsis instead of the full banner.
 struct CommandSpec {
@@ -1336,12 +1188,6 @@ constexpr CommandSpec kCommands[] = {
     {"bench-diff",
      "fastt bench-diff <old.json> <new.json> [--threshold T] [--hard-factor "
      "F] [--min-repeats R]"},
-    {"profile",
-     "fastt profile <model> [--hz N] [--seconds S] [--gpus N] [--jobs N] "
-     "[--json F] [--folded F] [--top N]"},
-    {"prof-diff",
-     "fastt prof-diff <old.json> <new.json> [--threshold PP] [--hard-factor "
-     "F] [--min-samples N]"},
     {"verify",
      "fastt verify <model> [--strategy f] [--gpus N] [--servers S] "
      "[--batch B] [--json F]"},
@@ -1364,10 +1210,10 @@ int Usage() {
                "         --openmetrics <out.txt> (Prometheus exposition),\n"
                "         --blackbox <out.json> (crash dump on fatal signal),\n"
                "         --log-level error|warn|info|debug (or\n"
-               "         FASTT_LOG_LEVEL), --trace-search <out.json>\n"
+               "         FASTT_LOG_LEVEL) and --trace-search <out.json>\n"
                "         (Chrome trace of the search; also via\n"
-               "         FASTT_TRACE_SEARCH=path) and --profile <out.json>\n"
-               "         (sampling CPU profile of the whole command);\n"
+               "         FASTT_TRACE_SEARCH=path); `fastt report` also\n"
+               "         prints and saves a CPU profile;\n"
                "         `fastt --version` prints build provenance\n");
   return 2;
 }
@@ -1433,13 +1279,6 @@ int Dispatch(const Args& args) {
       return CommandUsage(args.command);
     return CmdBenchDiff(args);
   }
-  if (args.command == "profile")
-    return args.model.empty() ? CommandUsage(args.command) : CmdProfile(args);
-  if (args.command == "prof-diff") {
-    if (args.model.empty() || args.path.empty())
-      return CommandUsage(args.command);
-    return CmdProfDiff(args);
-  }
   std::fprintf(stderr, "fastt: unknown command \"%s\"\n",
                args.command.c_str());
   return Usage();
@@ -1448,7 +1287,13 @@ int Dispatch(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args = Parse(argc, argv);
+  Args args;
+  std::string error = Parse(argc, argv, &args);
+  if (error.empty()) error = CheckArgs(args);
+  if (!error.empty()) {
+    std::fprintf(stderr, "fastt: %s\n", error.c_str());
+    return 2;
+  }
   if (args.command == "--version" || args.command == "version") {
     std::printf("fastt %s\n", BuildInfoLine().c_str());
     return 0;
@@ -1480,36 +1325,12 @@ int main(int argc, char** argv) {
     Tracer::Global().SetCurrentThreadName("search main");
     Tracer::Global().Enable();
   }
-  // Likewise --profile: profile, prof-diff, search-profile and report manage
-  // the sampler themselves; every other command is sampled whole here.
-  const bool profile_here =
-      !args.profile_path.empty() && args.command != "profile" &&
-      args.command != "prof-diff" && args.command != "search-profile" &&
-      args.command != "report";
-  if (profile_here) {
-    if (!trace_here) {
-      // Sample->span attribution needs live spans even though this tracer
-      // dump is never written out.
-      Tracer::Global().SetCurrentThreadName("search main");
-      Tracer::Global().Enable();
-    }
-    RegisterProfiledThread("main");
-    CpuProfilerOptions popts;
-    popts.hz = args.profile_hz;
-    popts.epoch_ns = Tracer::Global().epoch_ns();
-    CpuProfiler::Global().Start(popts);
-  }
   int rc = 0;
   try {
     rc = Dispatch(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
-  }
-  ProfileDump prof_dump;
-  if (profile_here) {
-    CpuProfiler::Global().Stop();
-    prof_dump = CpuProfiler::Global().Drain();
   }
   if (trace_here) {
     Tracer::Global().Disable();
@@ -1520,32 +1341,9 @@ int main(int argc, char** argv) {
                    args.trace_search_path.c_str());
       return rc != 0 ? rc : 1;
     }
-    out << (profile_here ? TraceToChromeJson(dump, prof_dump)
-                         : TraceToChromeJson(dump))
-        << "\n";
+    out << TraceToChromeJson(dump) << "\n";
     std::printf("wrote search trace to %s (%zu spans)\n",
                 args.trace_search_path.c_str(), dump.spans.size());
-  } else if (profile_here) {
-    Tracer::Global().Disable();
-    Tracer::Global().Drain();
-  }
-  if (profile_here) {
-    const SymbolizedProfile prof = SymbolizeProfile(prof_dump);
-    std::ofstream out(args.profile_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", args.profile_path.c_str());
-      return rc != 0 ? rc : 1;
-    }
-    out << ProfileToJson(prof, {{"command", args.command},
-                                {"model", args.model}})
-        << "\n";
-    std::printf(
-        "wrote cpu profile to %s (%llu samples, %.1f%% span-attributed)\n",
-        args.profile_path.c_str(), (unsigned long long)prof.samples_total,
-        prof.samples_total > 0
-            ? 100.0 * static_cast<double>(prof.span_attributed) /
-                  static_cast<double>(prof.samples_total)
-            : 0.0);
   }
   return rc;
 }
