@@ -100,7 +100,7 @@ BENCHMARK_CAPTURE(BM_Dpos, vgg19, "vgg19")->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK_CAPTURE(BM_Dpos, resnet200, "resnet200")->Arg(2)->Arg(4);
 BENCHMARK(BM_OsDpos)->Arg(2)->Arg(4);
 BENCHMARK_CAPTURE(BM_Simulate, vgg19, "vgg19")->Arg(2)->Arg(4);
-BENCHMARK_CAPTURE(BM_Simulate, bert, "bert_large")->Arg(2);
+BENCHMARK_CAPTURE(BM_Simulate, bert, "bert_large")->Arg(2)->Arg(8);
 BENCHMARK(BM_SplitOperation)->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK(BM_RankU);
 

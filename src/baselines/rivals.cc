@@ -11,6 +11,7 @@
 #include <limits>
 #include <vector>
 
+#include "baselines/colocation.h"
 #include "baselines/searchers.h"
 #include "util/check.h"
 
@@ -22,18 +23,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 double SecondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-// Resolves colocation constraints onto an otherwise-free placement (same
-// rule as searchers.cc: dependents follow their referent in topo order).
-void ApplyColocation(const Graph& g, std::vector<DeviceId>& placement) {
-  for (OpId id : g.TopoOrder()) {
-    const OpId target = g.op(id).colocate_with;
-    if (target != kInvalidOp &&
-        placement[static_cast<size_t>(target)] != kInvalidDevice)
-      placement[static_cast<size_t>(id)] =
-          placement[static_cast<size_t>(target)];
-  }
 }
 
 // Builds the bare (model-parallel) graph and stamps the shared result
@@ -201,7 +190,7 @@ SearchResult EtfSchedule(const ModelBuildFn& build,
       ready.insert(std::lower_bound(ready.begin(), ready.end(), u), u);
   }
 
-  ApplyColocation(g, placement);
+  ApplyColocation(g, g.TopoOrder(), placement);
   result.placement = std::move(placement);
   SimOptions so;
   so.noise_cv = options.noise_cv;
@@ -240,9 +229,7 @@ SearchResult DpPipelinePlacement(const ModelBuildFn& build,
   SearchResult result = BareGraphResult(build, model_name, batch);
   const Graph& g = result.graph;
 
-  std::vector<OpId> topo;
-  for (OpId id : g.TopoOrder())
-    if (!g.op(id).dead) topo.push_back(id);
+  const std::vector<OpId> topo = g.TopoOrder();
   const size_t n = topo.size();
   const size_t n_dev = static_cast<size_t>(cluster.num_devices());
   std::vector<size_t> pos(static_cast<size_t>(g.num_slots()), 0);
@@ -311,7 +298,7 @@ SearchResult DpPipelinePlacement(const ModelBuildFn& build,
       placement[static_cast<size_t>(topo[i])] = static_cast<DeviceId>(j);
     end = begin;
   }
-  ApplyColocation(g, placement);
+  ApplyColocation(g, topo, placement);
 
   result.placement = std::move(placement);
   SimOptions so;
@@ -418,7 +405,7 @@ SearchResult CriticalPathPlacement(const ModelBuildFn& build,
       at = next;
     }
   }
-  ApplyColocation(g, placement);
+  ApplyColocation(g, topo, placement);
 
   result.placement = std::move(placement);
   SimOptions so;

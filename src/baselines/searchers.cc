@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 
+#include "baselines/colocation.h"
 #include "graph/rewrite.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -31,25 +32,15 @@ double Evaluate(const Graph& g, const std::vector<DeviceId>& placement,
   return r.oom ? kInf : r.makespan;
 }
 
-// Resolves colocation constraints onto an otherwise-free placement.
-void ApplyColocation(const Graph& g, std::vector<DeviceId>& placement) {
-  for (OpId id : g.TopoOrder()) {
-    const OpId target = g.op(id).colocate_with;
-    if (target != kInvalidOp &&
-        placement[static_cast<size_t>(target)] != kInvalidDevice)
-      placement[static_cast<size_t>(id)] =
-          placement[static_cast<size_t>(target)];
-  }
-}
-
-std::vector<DeviceId> RandomPlacement(const Graph& g, const Cluster& cluster,
-                                      Rng& rng) {
+std::vector<DeviceId> RandomPlacement(const Graph& g,
+                                      const std::vector<OpId>& topo,
+                                      const Cluster& cluster, Rng& rng) {
   std::vector<DeviceId> placement(static_cast<size_t>(g.num_slots()),
                                   kInvalidDevice);
   for (OpId id : g.LiveOps())
     placement[static_cast<size_t>(id)] = static_cast<DeviceId>(
         rng.NextBelow(static_cast<uint64_t>(cluster.num_devices())));
-  ApplyColocation(g, placement);
+  ApplyColocation(g, topo, placement);
   return placement;
 }
 
@@ -66,6 +57,7 @@ SearchResult RandomSearchPlacement(const ModelBuildFn& build,
   build(result.graph, "", batch);
   Rng rng(options.seed);
   const SearchDeadline deadline(options.wall_budget_s);
+  const std::vector<OpId> topo = result.graph.TopoOrder();
 
   double best = kInf;
   int since_improvement = 0;
@@ -75,7 +67,7 @@ SearchResult RandomSearchPlacement(const ModelBuildFn& build,
       result.stop_reason = "deadline";
       break;
     }
-    auto placement = RandomPlacement(result.graph, cluster, rng);
+    auto placement = RandomPlacement(result.graph, topo, cluster, rng);
     const double score =
         Evaluate(result.graph, placement, cluster, options,
                  &result.evaluations);
@@ -189,6 +181,7 @@ SearchResult LocalSearchPlacement(const ModelBuildFn& build,
   const Graph& g = result.graph;
   Rng rng(options.seed * 31 + 7);
   const auto live = g.LiveOps();
+  const std::vector<OpId> topo = g.TopoOrder();
   const SearchDeadline deadline(options.wall_budget_s);
 
   double best = result.iteration_s;
@@ -205,7 +198,7 @@ SearchResult LocalSearchPlacement(const ModelBuildFn& build,
     if (g.op(victim).colocate_with != kInvalidOp) continue;
     candidate[static_cast<size_t>(victim)] = static_cast<DeviceId>(
         rng.NextBelow(static_cast<uint64_t>(cluster.num_devices())));
-    ApplyColocation(g, candidate);
+    ApplyColocation(g, topo, candidate);
     const double score =
         Evaluate(g, candidate, cluster, options, &result.evaluations);
     if (score < best) {
@@ -238,6 +231,7 @@ SearchResult CrossEntropyPlacement(const ModelBuildFn& build,
   const SearchDeadline deadline(options.wall_budget_s);
 
   const auto live = g.LiveOps();
+  const std::vector<OpId> topo = g.TopoOrder();
   const size_t n_dev = static_cast<size_t>(cluster.num_devices());
   // Per-op categorical distribution over devices, initialized uniform.
   std::vector<std::vector<double>> theta(
@@ -259,7 +253,7 @@ SearchResult CrossEntropyPlacement(const ModelBuildFn& build,
       }
       placement[static_cast<size_t>(id)] = pick;
     }
-    ApplyColocation(g, placement);
+    ApplyColocation(g, topo, placement);
     return placement;
   };
 
@@ -342,6 +336,9 @@ SearchResult AnnealingSearch(const ModelBuildFn& build,
   // with current_splits applied in order (rejected trials are undone), so
   // the best graph is rebuilt from best_splits at the end, not copied.
   Graph current_graph = dp.graph;
+  // current_graph's TopoOrder(), for placement moves. Undo restores the
+  // graph exactly, so only a committed split changes it.
+  std::vector<OpId> current_topo = current_graph.TopoOrder();
   auto current_placement = CanonicalDataParallelPlacement(dp);
   std::vector<SplitDecision> current_splits;
   double current =
@@ -402,7 +399,7 @@ SearchResult AnnealingSearch(const ModelBuildFn& build,
       const OpId victim = live[rng.NextBelow(live.size())];
       trial_placement[static_cast<size_t>(victim)] = static_cast<DeviceId>(
           rng.NextBelow(static_cast<uint64_t>(cluster.num_devices())));
-      ApplyColocation(current_graph, trial_placement);
+      ApplyColocation(current_graph, current_topo, trial_placement);
     }
 
     const double score = Evaluate(current_graph, trial_placement, cluster,
@@ -412,6 +409,7 @@ SearchResult AnnealingSearch(const ModelBuildFn& build,
         (temperature > 0.0 &&
          rng.NextBool(std::exp(-relative / temperature)))) {
       current_graph.Commit(mark);
+      if (mutated) current_topo = current_graph.TopoOrder();
       current = score;
       current_placement = std::move(trial_placement);
       current_splits = std::move(trial_splits);

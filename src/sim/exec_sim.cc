@@ -1,9 +1,8 @@
 #include "sim/exec_sim.h"
 
 #include <algorithm>
-#include <map>
+#include <array>
 #include <queue>
-#include <unordered_set>
 
 #include "obs/metrics.h"
 #include "util/check.h"
@@ -22,20 +21,28 @@ double SimNoiseFactor(uint64_t seed, OpId op, double cv) {
   return std::max(0.25, f);
 }
 
+// Canonical order (time, kind, op, edge): a pure function of event content,
+// so simultaneous events are processed in the same order however they were
+// pushed. The key packs (kind, op, edge + 1) into bit 63, bits 32..62 and
+// bits 0..31, so one unsigned compare orders the triple; op ids and edge
+// ids are non-negative int32s, so they always fit. (No two events share a
+// key: an op finishes once, an edge delivers once.)
+static_assert(sizeof(OpId) == 4 && sizeof(EdgeId) == 4);
+constexpr uint64_t kArrival = uint64_t{1} << 63;  // kind bit; 0 = op finish
+
+uint64_t EventKey(uint64_t kind, OpId op, EdgeId edge = -1) {
+  return kind | static_cast<uint64_t>(op) << 32 |
+         (static_cast<uint32_t>(edge) + 1U);
+}
+
 struct Event {
   double time = 0.0;
-  enum Kind { kOpFinish = 0, kArrival = 1 } kind = kOpFinish;
-  OpId op = kInvalidOp;       // kOpFinish: the op; kArrival: consumer op
-  EdgeId edge = -1;           // kArrival only
-  // Canonical order (time, kind, op, edge): a pure function of event
-  // content, so simultaneous events are processed in the same order however
-  // they were pushed. (No two events share all four fields: an op finishes
-  // once, an edge delivers once.)
+  uint64_t key = 0;
+  OpId op() const { return static_cast<OpId>((key & ~kArrival) >> 32); }
+  EdgeId edge() const { return static_cast<EdgeId>(key & 0xffffffffU) - 1; }
   bool operator>(const Event& other) const {
     if (time != other.time) return time > other.time;
-    if (kind != other.kind) return kind > other.kind;
-    if (op != other.op) return op > other.op;
-    return edge > other.edge;
+    return key > other.key;
   }
 };
 
@@ -49,21 +56,58 @@ struct ReadyEntry {
   }
 };
 
+// Per-slot state: what the loop reads about an op, filled once per call,
+// and its counters.
+struct OpState {
+  double duration = 0.0;  // ground truth on its device, times noise
+  int64_t temp_bytes = 0;
+  int64_t out_bytes = 0;
+  // Staged on this op's device by cross-device transfers; freed at finish.
+  int64_t staged_bytes = 0;
+  int32_t pending = 0;  // tensor arrivals to wait for, one per live in-edge
+  // Holds on the output buffer: same-device consumers release theirs when
+  // they finish (they read it in place), cross-device ones when it lands.
+  int32_t out_refs = 0;
+  bool live = false;
+  bool math = false;
+};
+
+struct OutEdge {
+  EdgeId id = -1;
+  OpId dst = kInvalidOp;
+  int64_t bytes = 0;
+};
+
+struct DeviceState {
+  std::priority_queue<ReadyEntry, TaggedVector<ReadyEntry>,
+                      std::greater<ReadyEntry>> ready;
+  bool busy = false;
+  // Copy-engine model: a small number of DMA engines per device and
+  // direction (V100s expose a few; TF stripes copies across them), so
+  // concurrent transfers sharing an endpoint serialize once the engines are
+  // saturated. Each slot holds when that engine is next free.
+  std::array<double, SimOptions::kCopyEnginesPerDirection> egress_free{};
+  std::array<double, SimOptions::kCopyEnginesPerDirection> ingress_free{};
+  // TF rendezvous semantics: one physical send per (tensor, destination
+  // device); later consumers here alias the landed copy. An op finishes
+  // once, so stamping the last sender is exact.
+  OpId sent_by = kInvalidOp;
+  double sent_at = 0.0;
+};
+
+// Live bytes per device. Peaks, and the coalesced timeline when asked for,
+// are written straight into the result.
 class MemoryTracker {
  public:
-  MemoryTracker(const Cluster& cluster, bool enabled, bool record_timeline)
-      : enabled_(enabled),
-        usage_(static_cast<size_t>(cluster.num_devices()), 0),
-        peak_(static_cast<size_t>(cluster.num_devices()), 0) {
-    if (enabled_ && record_timeline)
-      timeline_.resize(static_cast<size_t>(cluster.num_devices()));
-  }
+  MemoryTracker(bool enabled, SimResult& result)
+      : enabled_(enabled), usage_(result.peak_memory.size(), 0),
+        result_(result) {}
 
   void Alloc(DeviceId d, int64_t bytes, double now) {
     if (!enabled_ || bytes == 0) return;
     auto i = static_cast<size_t>(d);
     usage_[i] += bytes;
-    peak_[i] = std::max(peak_[i], usage_[i]);
+    result_.peak_memory[i] = std::max(result_.peak_memory[i], usage_[i]);
     Sample(i, now);
   }
   void Free(DeviceId d, int64_t bytes, double now) {
@@ -71,15 +115,11 @@ class MemoryTracker {
     usage_[static_cast<size_t>(d)] -= bytes;
     Sample(static_cast<size_t>(d), now);
   }
-  const std::vector<int64_t>& peak() const { return peak_; }
-  std::vector<std::vector<MemorySample>> TakeTimeline() {
-    return std::move(timeline_);
-  }
 
  private:
   void Sample(size_t i, double now) {
-    if (timeline_.empty()) return;
-    auto& t = timeline_[i];
+    if (result_.memory_timeline.empty()) return;
+    auto& t = result_.memory_timeline[i];
     // Coalesce same-timestamp updates into the final value at that instant.
     if (!t.empty() && t.back().time == now)
       t.back().bytes = usage_[i];
@@ -88,164 +128,133 @@ class MemoryTracker {
   }
 
   bool enabled_;
-  std::vector<int64_t> usage_;
-  std::vector<int64_t> peak_;
-  std::vector<std::vector<MemorySample>> timeline_;
+  TaggedVector<int64_t> usage_;
+  SimResult& result_;
 };
 
 }  // namespace
 
-bool PlacementParamsFit(const Graph& g,
-                        const std::vector<DeviceId>& placement,
-                        const Cluster& cluster) {
-  std::vector<int64_t> resident(static_cast<size_t>(cluster.num_devices()), 0);
-  for (OpId id : g.LiveOps()) {
-    const DeviceId d = placement[static_cast<size_t>(id)];
-    resident[static_cast<size_t>(d)] += g.op(id).resident_bytes();
-  }
-  for (int32_t d = 0; d < cluster.num_devices(); ++d)
-    if (resident[static_cast<size_t>(d)] > cluster.device(d).usable_bytes())
-      return false;
-  return true;
-}
-
 SimResult Simulate(const Graph& g, const std::vector<DeviceId>& placement,
                    const Cluster& cluster, const SimOptions& options) {
   FASTT_SCOPED_TIMER("sim/simulate");
-  const auto live = g.LiveOps();
   FASTT_CHECK_MSG(placement.size() >= static_cast<size_t>(g.num_slots()),
                   "placement must cover all op slots");
-  for (OpId id : live) {
-    const DeviceId d = placement[static_cast<size_t>(id)];
-    FASTT_CHECK_MSG(d >= 0 && d < cluster.num_devices(),
-                    "op " + g.op(id).name + " has no valid device");
-  }
   if (options.dispatch == DispatchMode::kPriority) {
     FASTT_CHECK_MSG(
         options.priorities.size() >= static_cast<size_t>(g.num_slots()),
         "priority dispatch requires priorities per op");
   }
+  // Every container below is per-call scratch, charged to sim/events.
+  MemTagScope mem_scope(MemTag::kSimEvents);
+  const auto slots = static_cast<size_t>(g.num_slots());
+  const auto edge_slots = static_cast<size_t>(g.num_edge_slots());
+  const auto devices = static_cast<size_t>(cluster.num_devices());
+  auto device_of = [&](OpId op) { return placement[static_cast<size_t>(op)]; };
 
   SimResult result;
-  result.op_records.assign(static_cast<size_t>(g.num_slots()), OpRecord{});
-  result.device_busy_s.assign(static_cast<size_t>(cluster.num_devices()), 0.0);
-
-  MemoryTracker memory(cluster, options.track_memory,
-                       options.record_memory_timeline);
-  // Parameters are resident for the whole iteration.
-  for (OpId id : live)
-    memory.Alloc(placement[static_cast<size_t>(id)],
-                 g.op(id).resident_bytes(), 0.0);
-
-  // Remaining tensor arrivals per op (each live in-edge delivers one).
-  std::vector<int32_t> pending(static_cast<size_t>(g.num_slots()), 0);
-  // Remaining holds on each op's producer-side output buffer. Same-device
-  // consumers release their hold when they finish (they read the buffer in
-  // place); cross-device consumers release it once the transfer lands.
-  std::vector<int32_t> out_refs(static_cast<size_t>(g.num_slots()), 0);
-  // Bytes staged on a consumer's device by cross-device transfers; freed
-  // when the consumer finishes.
-  std::vector<int64_t> staged_bytes(static_cast<size_t>(g.num_slots()), 0);
-
-  for (OpId id : live) {
-    for (EdgeId e : g.in_edges(id)) {
-      const Edge& edge = g.edge(e);
-      if (!edge.dead && !g.op(edge.src).dead)
-        ++pending[static_cast<size_t>(id)];
-    }
-    for (EdgeId e : g.out_edges(id)) {
-      const Edge& edge = g.edge(e);
-      if (!edge.dead && !g.op(edge.dst).dead)
-        ++out_refs[static_cast<size_t>(id)];
-    }
-  }
-
-  // Event churn is the simulator's dominant allocation source; charge the
-  // queues (and per-device ready heaps) to sim/events so memstat and the
-  // trace counters attribute them.
-  MemTagScope mem_scope(MemTag::kSimEvents);
-  std::priority_queue<Event, TaggedVector<Event>, std::greater<Event>> events(
-      std::greater<Event>(), TaggedVector<Event>(TaggedAlloc<Event>(MemTag::kSimEvents)));
-
-  using ReadyQueue =
-      std::priority_queue<ReadyEntry, TaggedVector<ReadyEntry>,
-                          std::greater<ReadyEntry>>;
-  std::vector<ReadyQueue> ready(
-      static_cast<size_t>(cluster.num_devices()),
-      ReadyQueue(std::greater<ReadyEntry>(),
-                 TaggedVector<ReadyEntry>(
-                     TaggedAlloc<ReadyEntry>(MemTag::kSimEvents))));
-  std::vector<bool> busy(static_cast<size_t>(cluster.num_devices()), false);
+  result.op_records.assign(slots, OpRecord{});
+  result.device_busy_s.assign(devices, 0.0);
+  result.peak_memory.assign(devices, 0);
+  if (options.track_memory && options.record_memory_timeline)
+    result.memory_timeline.resize(devices);
+  MemoryTracker memory(options.track_memory, result);
+  std::priority_queue<Event, TaggedVector<Event>, std::greater<Event>> events;
+  TaggedVector<DeviceState> dev(devices);
   uint64_t ready_counter = 0;
 
-  // Copy-engine model: a small number of DMA engines per device and
-  // direction (V100s expose a few; TF stripes copies across them), so
-  // concurrent transfers sharing an endpoint serialize once the engines are
-  // saturated.
-  const size_t engines = SimOptions::kCopyEnginesPerDirection;
-  std::vector<std::vector<double>> egress_free(
-      static_cast<size_t>(cluster.num_devices()),
-      std::vector<double>(engines, 0.0));
-  std::vector<std::vector<double>> ingress_free(
-      static_cast<size_t>(cluster.num_devices()),
-      std::vector<double>(engines, 0.0));
-  auto earliest = [](std::vector<double>& v) {
-    return std::min_element(v.begin(), v.end());
-  };
-  // Edges whose arrival carries a physical copy (vs. aliasing a dedup'd one).
-  std::unordered_set<EdgeId> carrying_edges;
-
-  auto release_output_hold = [&](OpId producer, double now) {
-    if (--out_refs[static_cast<size_t>(producer)] == 0) {
-      memory.Free(placement[static_cast<size_t>(producer)],
-                  g.op(producer).output_bytes(), now);
-    }
-  };
-
   auto push_ready = [&](OpId op) {
-    const DeviceId d = placement[static_cast<size_t>(op)];
-    ReadyEntry entry;
-    entry.seq = ready_counter++;
-    switch (options.dispatch) {
-      case DispatchMode::kFifo:
-        entry.key = static_cast<int64_t>(entry.seq);
-        break;
-      case DispatchMode::kRandom: {
-        // Deterministic pseudo-random dequeue order per (seed, op).
-        Rng rng(options.seed * 0x2545f4914f6cdd1dULL +
-                static_cast<uint64_t>(op));
-        entry.key = static_cast<int64_t>(rng.NextU64() >> 1);
-        break;
-      }
-      case DispatchMode::kPriority:
-        entry.key = options.priorities[static_cast<size_t>(op)];
-        break;
+    const uint64_t seq = ready_counter++;
+    int64_t key = static_cast<int64_t>(seq);  // FIFO: arrival order
+    if (options.dispatch == DispatchMode::kRandom) {
+      // Deterministic pseudo-random dequeue order per (seed, op).
+      Rng rng(options.seed * 0x2545f4914f6cdd1dULL + static_cast<uint64_t>(op));
+      key = static_cast<int64_t>(rng.NextU64() >> 1);
+    } else if (options.dispatch == DispatchMode::kPriority) {
+      key = options.priorities[static_cast<size_t>(op)];
     }
-    entry.op = op;
-    ready[static_cast<size_t>(d)].push(entry);
+    dev[static_cast<size_t>(device_of(op))].ready.push(
+        ReadyEntry{key, seq, op});
+  };
+
+  // The dense view, built in two passes over the slots in id order. The
+  // first fills each live op's state; parameters are resident for the whole
+  // iteration. The second lays out two CSR rows per op, both in the op's
+  // edge-list order: the producers of its live in-edges on its own device
+  // (the holds it releases when it finishes) and its live out-edges. It also
+  // records each live edge's producer, for arrivals. An edge is live when
+  // it and its other end are. Ops with no inputs are ready at t = 0.
+  TaggedVector<OpState> state(slots);
+  size_t live = 0;
+  for (OpId id = 0; id < g.num_slots(); ++id) {
+    const Operation& o = g.op(id);
+    if (o.dead) continue;
+    ++live;
+    const DeviceId d = device_of(id);
+    FASTT_CHECK_MSG(d >= 0 && d < cluster.num_devices(),
+                    "op " + o.name + " has no valid device");
+    memory.Alloc(d, o.resident_bytes(), 0.0);
+    OpState& s = state[static_cast<size_t>(id)];
+    s.duration = GroundTruthDuration(o, cluster.device(d)) *
+                 SimNoiseFactor(options.seed, id, options.noise_cv);
+    s.temp_bytes = o.temp_bytes;
+    s.out_bytes = o.output_bytes();
+    s.live = true;
+    s.math = IsMathOp(o.type);
+  }
+  TaggedVector<uint32_t> hold_begin(slots + 1, 0);
+  TaggedVector<uint32_t> out_begin(slots + 1, 0);
+  TaggedVector<OpId> holds;
+  TaggedVector<OutEdge> out;
+  holds.reserve(edge_slots);
+  out.reserve(edge_slots);
+  TaggedVector<OpId> producer(edge_slots, kInvalidOp);
+  for (OpId id = 0; id < g.num_slots(); ++id) {
+    const auto i = static_cast<size_t>(id);
+    OpState& s = state[i];
+    if (s.live) {
+      for (EdgeId e : g.in_edges(id)) {
+        const Edge& edge = g.edge(e);
+        if (edge.dead || !state[static_cast<size_t>(edge.src)].live) continue;
+        ++s.pending;
+        if (device_of(edge.src) == device_of(id)) holds.push_back(edge.src);
+      }
+      for (EdgeId e : g.out_edges(id)) {
+        const Edge& edge = g.edge(e);
+        if (edge.dead || !state[static_cast<size_t>(edge.dst)].live) continue;
+        ++s.out_refs;
+        out.push_back(OutEdge{e, edge.dst, edge.bytes});
+        producer[static_cast<size_t>(e)] = id;
+      }
+      if (s.pending == 0) push_ready(id);
+    }
+    hold_begin[i + 1] = static_cast<uint32_t>(holds.size());
+    out_begin[i + 1] = static_cast<uint32_t>(out.size());
+  }
+  // Bytes an arrival stages on the consumer's device: the edge's bytes for
+  // the physical copy, 0 for the arrivals that alias it.
+  TaggedVector<int64_t> carried_bytes(edge_slots, 0);
+
+  auto release_output_hold = [&](OpId op, double now) {
+    OpState& s = state[static_cast<size_t>(op)];
+    if (--s.out_refs == 0) memory.Free(device_of(op), s.out_bytes, now);
   };
 
   auto try_dispatch = [&](DeviceId d, double now) {
-    auto& q = ready[static_cast<size_t>(d)];
-    if (busy[static_cast<size_t>(d)] || q.empty()) return;
-    const OpId op = q.top().op;
-    q.pop();
-    busy[static_cast<size_t>(d)] = true;
-    const Operation& o = g.op(op);
-    const double dur = GroundTruthDuration(o, cluster.device(d)) *
-                       SimNoiseFactor(options.seed, op, options.noise_cv);
+    DeviceState& ds = dev[static_cast<size_t>(d)];
+    if (ds.busy || ds.ready.empty()) return;
+    const OpId op = ds.ready.top().op;
+    ds.ready.pop();
+    ds.busy = true;
+    const OpState& s = state[static_cast<size_t>(op)];
     auto& rec = result.op_records[static_cast<size_t>(op)];
     rec.op = op;
     rec.device = d;
     rec.start = now;
-    rec.finish = now + dur;
-    memory.Alloc(d, o.temp_bytes, now);
-    events.push(Event{rec.finish, Event::kOpFinish, op, -1});
+    rec.finish = now + s.duration;
+    memory.Alloc(d, s.temp_bytes, now);
+    events.push(Event{rec.finish, EventKey(0, op)});
   };
 
-  // Seed: ops with no inputs are ready at t = 0.
-  for (OpId id : live)
-    if (pending[static_cast<size_t>(id)] == 0) push_ready(id);
   for (int32_t d = 0; d < cluster.num_devices(); ++d) try_dispatch(d, 0.0);
 
   size_t finished = 0;
@@ -253,93 +262,83 @@ SimResult Simulate(const Graph& g, const std::vector<DeviceId>& placement,
     const Event ev = events.top();
     events.pop();
     const double now = ev.time;
+    const OpId op = ev.op();
+    OpState& s = state[static_cast<size_t>(op)];
+    const DeviceId d = device_of(op);
 
-    if (ev.kind == Event::kOpFinish) {
+    if ((ev.key & kArrival) == 0) {
       ++finished;
-      const OpId op = ev.op;
-      const Operation& o = g.op(op);
-      const DeviceId d = placement[static_cast<size_t>(op)];
       const auto& rec = result.op_records[static_cast<size_t>(op)];
       result.device_busy_s[static_cast<size_t>(d)] += rec.duration();
-      if (IsMathOp(o.type)) result.total_compute_s += rec.duration();
-      memory.Free(d, o.temp_bytes, now);
-      memory.Free(d, staged_bytes[static_cast<size_t>(op)], now);
-      staged_bytes[static_cast<size_t>(op)] = 0;
+      if (s.math) result.total_compute_s += rec.duration();
+      memory.Free(d, s.temp_bytes, now);
+      memory.Free(d, s.staged_bytes, now);
+      s.staged_bytes = 0;
       result.makespan = std::max(result.makespan, now);
 
       // Output buffer materializes now; terminal ops drop it immediately.
-      memory.Alloc(d, o.output_bytes(), now);
-      if (out_refs[static_cast<size_t>(op)] == 0)
-        memory.Free(d, o.output_bytes(), now);
+      memory.Alloc(d, s.out_bytes, now);
+      if (s.out_refs == 0) memory.Free(d, s.out_bytes, now);
 
       // This op held its same-device inputs in place while running.
-      for (EdgeId e : g.in_edges(op)) {
-        const Edge& edge = g.edge(e);
-        if (edge.dead || g.op(edge.src).dead) continue;
-        if (placement[static_cast<size_t>(edge.src)] == d)
-          release_output_hold(edge.src, now);
-      }
+      const auto i = static_cast<size_t>(op);
+      for (uint32_t k = hold_begin[i]; k < hold_begin[i + 1]; ++k)
+        release_output_hold(holds[k], now);
 
-      // TF rendezvous semantics: one physical send per (tensor, destination
-      // device) — additional consumers on that device alias the landed copy.
-      std::map<DeviceId, double> sent_arrival;
-      for (EdgeId e : g.out_edges(op)) {
-        const Edge& edge = g.edge(e);
-        if (edge.dead || g.op(edge.dst).dead) continue;
-        const DeviceId dd = placement[static_cast<size_t>(edge.dst)];
+      for (uint32_t k = out_begin[i]; k < out_begin[i + 1]; ++k) {
+        const OutEdge& edge = out[k];
+        const uint64_t key = EventKey(kArrival, edge.dst, edge.id);
+        const DeviceId dd = device_of(edge.dst);
+        DeviceState& to = dev[static_cast<size_t>(dd)];
         if (dd == d) {
-          events.push(Event{now, Event::kArrival, edge.dst, e});
-        } else if (auto it = sent_arrival.find(dd);
-                   it != sent_arrival.end()) {
-          events.push(Event{it->second, Event::kArrival, edge.dst, e});
+          events.push(Event{now, key});
+        } else if (to.sent_by == op) {
+          events.push(Event{to.sent_at, key});
         } else {
           const Link link = cluster.LinkBetween(d, dd);
-          auto eg = earliest(egress_free[static_cast<size_t>(d)]);
-          auto in_ = earliest(ingress_free[static_cast<size_t>(dd)]);
+          auto& egress = dev[static_cast<size_t>(d)].egress_free;
+          auto eg = std::min_element(egress.begin(), egress.end());
+          auto in_ = std::min_element(to.ingress_free.begin(),
+                                      to.ingress_free.end());
           const double start = std::max({now, *eg, *in_});
           const double occupancy =
               static_cast<double>(edge.bytes) / link.bandwidth;
           const double arrival = start + link.latency + occupancy;
           *eg = start + occupancy;
           *in_ = start + occupancy;
-          sent_arrival[dd] = arrival;
-          carrying_edges.insert(e);
+          to.sent_by = op;
+          to.sent_at = arrival;
+          carried_bytes[static_cast<size_t>(edge.id)] = edge.bytes;
           result.transfers.push_back(TransferRecord{
               op, edge.dst, d, dd, edge.bytes, start, arrival});
           result.total_memcpy_s += arrival - start;
-          events.push(Event{arrival, Event::kArrival, edge.dst, e});
+          events.push(Event{arrival, key});
         }
       }
-      busy[static_cast<size_t>(d)] = false;
+      dev[static_cast<size_t>(d)].busy = false;
       try_dispatch(d, now);
-    } else {  // kArrival
-      const Edge& edge = g.edge(ev.edge);
-      const OpId consumer = ev.op;
-      const DeviceId cd = placement[static_cast<size_t>(consumer)];
-      const DeviceId pd = placement[static_cast<size_t>(edge.src)];
-      if (cd != pd) {
-        // Only the physical (carrying) transfer stages a copy on the
-        // consumer's device; aliased arrivals reuse it. The producer-side
-        // buffer hold is released per consumer as arrivals land.
-        if (carrying_edges.count(ev.edge) > 0) {
-          memory.Alloc(cd, edge.bytes, now);
-          staged_bytes[static_cast<size_t>(consumer)] += edge.bytes;
-        }
-        release_output_hold(edge.src, now);
+    } else {  // arrival at consumer `op`
+      const auto e = static_cast<size_t>(ev.edge());
+      const OpId src = producer[e];
+      if (device_of(src) != d) {
+        // Only the physical copy stages bytes on the consumer's device;
+        // aliased arrivals reuse it. The producer-side buffer hold is
+        // released per consumer as arrivals land.
+        memory.Alloc(d, carried_bytes[e], now);
+        s.staged_bytes += carried_bytes[e];
+        release_output_hold(src, now);
       }
-      auto& left = pending[static_cast<size_t>(consumer)];
-      FASTT_CHECK(left > 0);
-      if (--left == 0) {
-        push_ready(consumer);
-        try_dispatch(cd, now);
+      FASTT_CHECK(s.pending > 0);
+      if (--s.pending == 0) {
+        push_ready(op);
+        try_dispatch(d, now);
       }
     }
   }
 
-  FASTT_CHECK_MSG(finished == live.size(),
+  FASTT_CHECK_MSG(finished == live,
                   "deadlock: not all ops executed (cycle or missing input)");
 
-  result.peak_memory = memory.peak();
   for (int32_t d = 0; d < cluster.num_devices(); ++d) {
     if (result.peak_memory[static_cast<size_t>(d)] >
         cluster.device(d).usable_bytes()) {
@@ -347,8 +346,6 @@ SimResult Simulate(const Graph& g, const std::vector<DeviceId>& placement,
       result.oom_devices.push_back(d);
     }
   }
-  if (options.record_memory_timeline)
-    result.memory_timeline = memory.TakeTimeline();
 
   MetricsRegistry& metrics = CurrentMetrics();
   metrics.AddCounter("sim/runs");

@@ -106,14 +106,14 @@ struct SimResult {
 // order (time, kind, op id, edge id) with op-finish ranked before arrival.
 // The processing order is a pure function of event content, not of push
 // order, so a given input always yields the same timeline; the strategy
-// goldens pin it.
+// goldens pin it, and tests/sim_golden_test.cc pins every SimResult field
+// over the zoo.
+//
+// Each call first builds a dense view of the live subgraph (per-op state and
+// CSR adjacency, in each op's edge-list order) and then runs an event loop
+// that allocates only to grow its queues and the result. Nothing is cached
+// across calls. All scratch is charged to MemTag::kSimEvents.
 SimResult Simulate(const Graph& g, const std::vector<DeviceId>& placement,
                    const Cluster& cluster, const SimOptions& options = {});
-
-// Convenience: true iff the placement's resident parameters alone already
-// exceed some device's memory (cheap static check used by schedulers).
-bool PlacementParamsFit(const Graph& g,
-                        const std::vector<DeviceId>& placement,
-                        const Cluster& cluster);
 
 }  // namespace fastt
