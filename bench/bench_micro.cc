@@ -98,6 +98,8 @@ void BM_RankU(benchmark::State& state) {
 
 BENCHMARK_CAPTURE(BM_Dpos, vgg19, "vgg19")->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK_CAPTURE(BM_Dpos, resnet200, "resnet200")->Arg(2)->Arg(4);
+// The headline size: bert_large data-parallel over 8 GPUs (~19k ops).
+BENCHMARK_CAPTURE(BM_Dpos, bert, "bert_large")->Arg(8);
 BENCHMARK(BM_OsDpos)->Arg(2)->Arg(4);
 BENCHMARK_CAPTURE(BM_Simulate, vgg19, "vgg19")->Arg(2)->Arg(4);
 BENCHMARK_CAPTURE(BM_Simulate, bert, "bert_large")->Arg(2)->Arg(8);

@@ -1,13 +1,11 @@
 #include "core/dpos.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <queue>
 
 #include "core/rank.h"
 #include "core/timeline.h"
-#include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "util/check.h"
@@ -72,8 +70,9 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
 DposResult DposListSchedule(const Graph& g, const Cluster& cluster,
                             const DposInputs& inputs,
                             const DposOptions& options) {
-  // Everything the scheduler allocates below — scratch vectors, the ready
-  // queue, the timelines — inherits the dpos tag through the ambient scope.
+  // Everything the scheduler allocates below — the view, scratch vectors,
+  // the ready queue, the timelines — inherits the dpos tag through the
+  // ambient scope.
   MemTagScope mem_scope(MemTag::kDpos);
   CurrentMetrics().AddCounter("dpos/invocations");
   const int32_t n_dev = cluster.num_devices();
@@ -81,25 +80,19 @@ DposResult DposListSchedule(const Graph& g, const Cluster& cluster,
   FASTT_CHECK(inputs.comp.num_devices() == n_dev &&
               inputs.comp.num_slots() == g.num_slots());
   const size_t slots = static_cast<size_t>(g.num_slots());
+  const size_t devs = static_cast<size_t>(n_dev);
   const CompCostTable& comp_t = inputs.comp;
   const CommCostTable& comm_t = inputs.comm;
   const TaggedVector<int64_t>& mem_need = inputs.mem_need;
   const TaggedVector<double>& rank = inputs.rank;
   const TaggedVector<OpId>& critical_path = inputs.critical_path;
 
-  // Candidate-device loops fan out across the search pool when wide enough;
-  // each device writes its verdict into its own slot and the reduction runs
+  // The CP prefix scan walks the whole remaining critical path per device,
+  // so it fans out across the search pool from a handful of devices. Each
+  // device writes its verdict into its own slot and the reduction runs
   // serially in ascending device order, so the chosen device is identical
   // for any thread count (--jobs 1 is the reference semantics).
-  //
-  // The two loops have very different grain. The CP prefix scan walks the
-  // whole remaining critical path per device, so it pays off from a handful
-  // of devices. Per-pop candidate scoring is O(fan-in) per device — a few
-  // microseconds — and runs once per placed op (tens of thousands of times),
-  // so below ~16 devices the pool hand-off costs more than the scan and the
-  // loop must stay inline.
   constexpr size_t kMinParallelDevices = 4;
-  constexpr size_t kMinParallelScoreDevices = 16;
 
   DposResult result;
   EmitMemTraceCounters();
@@ -107,13 +100,13 @@ DposResult DposListSchedule(const Graph& g, const Cluster& cluster,
   result.finish_time.assign(slots, 0.0);
   result.strategy.placement.assign(slots, kInvalidDevice);
 
-  TaggedVector<int64_t> planned_mem(static_cast<size_t>(n_dev), 0);
-  TaggedVector<int64_t> mem_budget(static_cast<size_t>(n_dev), 0);
+  TaggedVector<int64_t> planned_mem(devs, 0);
+  TaggedVector<int64_t> mem_budget(devs, 0);
   for (DeviceId d = 0; d < n_dev; ++d)
     mem_budget[static_cast<size_t>(d)] = static_cast<int64_t>(
         options.memory_headroom *
         static_cast<double>(cluster.device(d).usable_bytes()));
-  TaggedVector<DeviceTimeline> timeline(static_cast<size_t>(n_dev));
+  TaggedVector<DeviceTimeline> timeline(devs);
 
   // ---- Critical-path device selection (Alg. 1 line 5) ---------------------
   // Walk the CP, and for the ops not yet assigned pick the device with the
@@ -127,12 +120,12 @@ DposResult DposListSchedule(const Graph& g, const Cluster& cluster,
       double avg = kInf;
       size_t count = 0;
     };
-    TaggedVector<CpCandidate> cands(static_cast<size_t>(n_dev));
+    TaggedVector<CpCandidate> cands(devs);
     size_t pos = 0;
     while (pos < critical_path.size()) {
       // Per-device prefix scan, parallel across devices.
       ParallelFor(
-          static_cast<size_t>(n_dev),
+          devs,
           [&](size_t di) {
             const DeviceId d = static_cast<DeviceId>(di);
             int64_t free = mem_budget[di] - planned_mem[di];
@@ -179,39 +172,72 @@ DposResult DposListSchedule(const Graph& g, const Cluster& cluster,
     }
   }
 
+  // ---- The dense view -------------------------------------------------------
+  // One pass over the slots builds all the list scheduler reads of the
+  // graph: the live ops in slot order, each live op's live in-arcs
+  // (producer, bytes) and live out-arcs (consumer, bytes) as CSR rows in
+  // its edge-list order, and its colocation anchor. A live edge has two live
+  // endpoints (graph.h), so an arc is live iff its edge is.
+  struct Arc {
+    OpId op = kInvalidOp;
+    int64_t bytes = 0;
+  };
+  TaggedVector<OpId> live;
+  live.reserve(static_cast<size_t>(g.num_live_ops()));
+  TaggedVector<int32_t> in_begin(slots + 1, 0);
+  TaggedVector<int32_t> out_begin(slots + 1, 0);
+  TaggedVector<Arc> in_arcs;
+  TaggedVector<Arc> out_arcs;
+  in_arcs.reserve(static_cast<size_t>(g.num_edge_slots()));
+  out_arcs.reserve(static_cast<size_t>(g.num_edge_slots()));
+  TaggedVector<OpId> anchor(slots, kInvalidOp);
+  for (OpId id = 0; id < g.num_slots(); ++id) {
+    const size_t i = static_cast<size_t>(id);
+    const Operation& o = g.op(id);
+    if (!o.dead) {
+      live.push_back(id);
+      anchor[i] = o.colocate_with;
+      for (EdgeId e : g.in_edges(id)) {
+        const Edge& edge = g.edge(e);
+        if (!edge.dead) in_arcs.push_back(Arc{edge.src, edge.bytes});
+      }
+      for (EdgeId e : g.out_edges(id)) {
+        const Edge& edge = g.edge(e);
+        if (!edge.dead) out_arcs.push_back(Arc{edge.dst, edge.bytes});
+      }
+    }
+    in_begin[i + 1] = static_cast<int32_t>(in_arcs.size());
+    out_begin[i + 1] = static_cast<int32_t>(out_arcs.size());
+  }
+
   // ---- List scheduling ------------------------------------------------------
   // Rank-ordered priority queue, gated by precedence (an op becomes eligible
   // once all predecessors are placed) so ready times are always computable.
   TaggedVector<int32_t> unplaced_preds(slots, 0);
-  for (OpId id : g.LiveOps()) {
-    for (EdgeId e : g.in_edges(id)) {
-      const Edge& edge = g.edge(e);
-      if (!edge.dead && !g.op(edge.src).dead)
-        ++unplaced_preds[static_cast<size_t>(id)];
-    }
-  }
   std::priority_queue<ReadyOp, TaggedVector<ReadyOp>> queue;
-  for (OpId id : g.LiveOps())
-    if (unplaced_preds[static_cast<size_t>(id)] == 0)
-      queue.push(ReadyOp{rank[static_cast<size_t>(id)], id});
+  for (OpId id : live) {
+    const size_t i = static_cast<size_t>(id);
+    unplaced_preds[i] = in_begin[i + 1] - in_begin[i];
+    if (unplaced_preds[i] == 0) queue.push(ReadyOp{rank[i], id});
+  }
 
   // Channel model mirroring the executor: one egress and one ingress copy
   // engine per device, and TF rendezvous dedup (a tensor is sent once per
   // destination device). Without this, DPOS systematically under-prices
   // placements that funnel many large tensors into one device — the exact
   // error that made gradient-aggregation traffic look free.
-  TaggedVector<double> egress_free(static_cast<size_t>(n_dev), 0.0);
-  TaggedVector<double> ingress_free(static_cast<size_t>(n_dev), 0.0);
+  TaggedVector<double> egress_free(devs, 0.0);
+  TaggedVector<double> ingress_free(devs, 0.0);
   // Arrival of op's output on device d at sent_arrival[op * n_dev + d], or
   // -1 while it has not been sent there (arrivals are >= 0).
-  TaggedVector<double> sent_arrival(slots * static_cast<size_t>(n_dev), -1.0);
+  TaggedVector<double> sent_arrival(slots * devs, -1.0);
   auto sent = [&](OpId op, DeviceId d) -> double& {
-    return sent_arrival[static_cast<size_t>(op) * static_cast<size_t>(n_dev) +
+    return sent_arrival[static_cast<size_t>(op) * devs +
                         static_cast<size_t>(d)];
   };
 
   // The op being placed, as every candidate device sees it: its placed
-  // producers (one per live in-edge, in edge order) and the devices its
+  // producers (one per live in-arc, in edge order) and the devices its
   // colocation-pinned consumers sit on. Gathered once per pop; nothing in
   // them moves until the op is scheduled.
   struct Producer {
@@ -227,124 +253,179 @@ DposResult DposListSchedule(const Graph& g, const Cluster& cluster,
   TaggedVector<Producer> producers;
   TaggedVector<PinnedConsumer> pinned;
   auto gather = [&](OpId op) {
+    const size_t oi = static_cast<size_t>(op);
     producers.clear();
-    for (EdgeId e : g.in_edges(op)) {
-      const Edge& edge = g.edge(e);
-      if (edge.dead || g.op(edge.src).dead) continue;
-      const size_t src = static_cast<size_t>(edge.src);
-      producers.push_back(Producer{edge.src, result.strategy.placement[src],
-                                   result.finish_time[src], edge.bytes});
+    for (int32_t a = in_begin[oi]; a < in_begin[oi + 1]; ++a) {
+      const Arc& arc = in_arcs[static_cast<size_t>(a)];
+      const size_t src = static_cast<size_t>(arc.op);
+      producers.push_back(Producer{arc.op, result.strategy.placement[src],
+                                   result.finish_time[src], arc.bytes});
     }
     pinned.clear();
-    for (EdgeId e : g.out_edges(op)) {
-      const Edge& edge = g.edge(e);
-      if (edge.dead || g.op(edge.dst).dead) continue;
+    for (int32_t a = out_begin[oi]; a < out_begin[oi + 1]; ++a) {
       // Consumers are unplaced, but colocation can already pin them
       // (gradients flowing toward a parameter's aggregation/update
       // site) — exactly the traffic §6.5's placements avoid.
-      const OpId anchor = g.op(edge.dst).colocate_with;
-      if (anchor == kInvalidOp) continue;
-      const DeviceId ad =
-          result.strategy.placement[static_cast<size_t>(anchor)];
-      if (ad != kInvalidDevice)
-        pinned.push_back(PinnedConsumer{ad, edge.bytes});
+      const Arc& arc = out_arcs[static_cast<size_t>(a)];
+      const OpId pin = anchor[static_cast<size_t>(arc.op)];
+      if (pin == kInvalidOp) continue;
+      const DeviceId ad = result.strategy.placement[static_cast<size_t>(pin)];
+      if (ad != kInvalidDevice) pinned.push_back(PinnedConsumer{ad, arc.bytes});
     }
   };
 
-  // Earliest data-ready time of the gathered op on device `d`.
-  // Evaluation-only: consults but does not advance the channel state, so
-  // concurrent evaluations for different candidate devices are safe.
-  auto ready_time = [&](DeviceId d) {
-    double t = 0.0;
+  // The gathered op's earliest data-ready time on every device, and its
+  // estimated remote traffic there (producers first, then pinned
+  // consumers), built producer by producer across devices. Evaluation-only:
+  // consults but does not advance the channel state.
+  TaggedVector<double> ready_at(devs, 0.0);
+  TaggedVector<double> traffic(devs, 0.0);
+  auto evaluate_devices = [&] {
+    std::fill(ready_at.begin(), ready_at.end(), 0.0);
+    std::fill(traffic.begin(), traffic.end(), 0.0);
+    for (const Producer& p : producers) {
+      const double* arrivals = &sent(p.op, 0);
+      const double engine_free =
+          std::max(p.finish, egress_free[static_cast<size_t>(p.device)]);
+      for (DeviceId d = 0; d < n_dev; ++d) {
+        const size_t di = static_cast<size_t>(d);
+        const double dur = comm_t.Estimate(p.device, d, p.bytes);
+        traffic[di] += dur;
+        double arrival = p.finish;
+        if (p.device != d) {
+          arrival = arrivals[di];
+          if (arrival < 0.0)
+            arrival = std::max(engine_free, ingress_free[di]) + dur;
+        }
+        ready_at[di] = std::max(ready_at[di], arrival);
+      }
+    }
+    for (const PinnedConsumer& c : pinned)
+      for (DeviceId d = 0; d < n_dev; ++d)
+        traffic[static_cast<size_t>(d)] +=
+            comm_t.Estimate(d, c.device, c.bytes);
+  };
+  auto fits = [&](OpId op, DeviceId d) {
+    return planned_mem[static_cast<size_t>(d)] +
+               mem_need[static_cast<size_t>(op)] <=
+           mem_budget[static_cast<size_t>(d)];
+  };
+
+  // Min-(score, index) over the memory-feasible devices, where the score of
+  // `d` is EarliestSlot(ready, w) + w, plus λ·traffic when comm_affinity >
+  // 0. Returns kInvalidDevice when nothing fits, else the device, with the
+  // slot it found there in *start. Every feasible device first gets the
+  // bound ready + w (+ the same term): EarliestSlot never returns less than
+  // ready and IEEE addition is monotone, so no score is below its device's
+  // bound. The device with the smallest bound is scored first; after it, a
+  // device is scored only while its bound can still beat the best (score,
+  // index) pair. The same device wins as if every device were scored,
+  // including ties, which go to the lowest index.
+  TaggedVector<double> bound(devs, kInf);
+  auto best_device = [&](OpId op, double* start) {
+    evaluate_devices();
+    DeviceId first = kInvalidDevice;
+    double first_bound = kInf;
+    for (DeviceId d = 0; d < n_dev; ++d) {
+      const size_t di = static_cast<size_t>(d);
+      bound[di] = kInf;
+      if (!fits(op, d)) continue;
+      bound[di] = ready_at[di] + comp_t.Time(op, d);
+      if (options.comm_affinity > 0.0)
+        bound[di] += options.comm_affinity * traffic[di];
+      if (bound[di] < first_bound) {
+        first_bound = bound[di];
+        first = d;
+      }
+    }
+    DeviceId best = kInvalidDevice;
+    double best_score = kInf;
+    auto beats_best = [&](double value, DeviceId d) {
+      return value < best_score || (value == best_score && d < best);
+    };
+    auto score = [&](DeviceId d) {
+      const size_t di = static_cast<size_t>(d);
+      if (!beats_best(bound[di], d)) return;
+      const double w = comp_t.Time(op, d);
+      const double slot = timeline[di].EarliestSlot(ready_at[di], w);
+      double s = slot + w;
+      if (options.comm_affinity > 0.0)
+        s += options.comm_affinity * traffic[di];
+      if (beats_best(s, d)) {
+        best = d;
+        best_score = s;
+        *start = slot;
+      }
+    };
+    if (first == kInvalidDevice) return best;
+    score(first);
+    for (DeviceId d = 0; d < n_dev; ++d)
+      if (d != first) score(d);
+    return best;
+  };
+
+  // Places the gathered `op` on `d`, first booking its incoming transfers on
+  // the copy engines (dedup'd per tensor). `scored_start` is the slot the
+  // scan found on `d`, or null when `d` was not scored. It is reused unless
+  // a transfer was booked: booking advances the engines, which moves the
+  // ready time, so the slot is searched again.
+  auto schedule_on = [&](OpId op, DeviceId d, const double* scored_start) {
+    const size_t di = static_cast<size_t>(d);
+    bool booked = false;
+    double ready = 0.0;
     for (const Producer& p : producers) {
       double arrival = p.finish;
       if (p.device != d) {
-        arrival = sent(p.op, d);
-        if (arrival < 0.0) {
-          const double start =
-              std::max({p.finish, egress_free[static_cast<size_t>(p.device)],
-                        ingress_free[static_cast<size_t>(d)]});
-          arrival = start + comm_t.Estimate(p.device, d, p.bytes);
+        double& sent_at = sent(p.op, d);
+        if (sent_at < 0.0) {
+          booked = true;
+          const double start = std::max(
+              {p.finish, egress_free[static_cast<size_t>(p.device)],
+               ingress_free[di]});
+          const double dur = comm_t.Estimate(p.device, d, p.bytes);
+          egress_free[static_cast<size_t>(p.device)] = start + dur;
+          ingress_free[di] = start + dur;
+          sent_at = start + dur;
         }
+        arrival = sent_at;
       }
-      t = std::max(t, arrival);
-    }
-    return t;
-  };
-
-  auto schedule_on = [&](OpId op, DeviceId d) {
-    // Commit incoming transfers to the copy engines (dedup'd per tensor).
-    for (const Producer& p : producers) {
-      if (p.device == d) continue;
-      double& arrival = sent(p.op, d);
-      if (arrival >= 0.0) continue;
-      const double start =
-          std::max({p.finish, egress_free[static_cast<size_t>(p.device)],
-                    ingress_free[static_cast<size_t>(d)]});
-      const double dur = comm_t.Estimate(p.device, d, p.bytes);
-      egress_free[static_cast<size_t>(p.device)] = start + dur;
-      ingress_free[static_cast<size_t>(d)] = start + dur;
-      arrival = start + dur;
+      ready = std::max(ready, arrival);
     }
     const double w = comp_t.Time(op, d);
-    const double ready = ready_time(d);
-    const double start = timeline[static_cast<size_t>(d)].EarliestSlot(ready, w);
-    timeline[static_cast<size_t>(d)].Commit(start, w, op);
+    const double start = scored_start != nullptr && !booked
+                             ? *scored_start
+                             : timeline[di].EarliestSlot(ready, w);
+    timeline[di].Commit(start, w, op);
     result.strategy.placement[static_cast<size_t>(op)] = d;
     result.start_time[static_cast<size_t>(op)] = start;
     result.finish_time[static_cast<size_t>(op)] = start + w;
   };
 
-  // Candidate score of placing the gathered `op` on `d`: EFT plus the
-  // communication affinity term. Returns +inf when the device lacks memory.
-  auto device_score = [&](OpId op, DeviceId d) {
-    if (planned_mem[static_cast<size_t>(d)] +
-            mem_need[static_cast<size_t>(op)] >
-        mem_budget[static_cast<size_t>(d)])
-      return kInf;
-    const double w = comp_t.Time(op, d);
-    const double ready = ready_time(d);
-    const double eft =
-        timeline[static_cast<size_t>(d)].EarliestSlot(ready, w) + w;
-    double score = eft;
-    if (options.comm_affinity > 0.0) {
-      double traffic = 0.0;
-      for (const Producer& p : producers)
-        traffic += comm_t.Estimate(p.device, d, p.bytes);
-      for (const PinnedConsumer& c : pinned)
-        traffic += comm_t.Estimate(d, c.device, c.bytes);
-      score += options.comm_affinity * traffic;
-    }
-    return score;
-  };
-
-  const char* trace = std::getenv("FASTT_DPOS_TRACE");
-  // Setting FASTT_DPOS_TRACE alone is enough to see the per-device score
-  // lines: opt-in diagnostics imply debug verbosity for their own output.
-  if (trace != nullptr) EnsureLogThresholdAtLeast(LogLevel::kDebug);
-  TaggedVector<double> scores(static_cast<size_t>(n_dev), kInf);
-
   // Full candidate table for one op, as the scheduler would have seen it at
-  // decision time. Evaluation-only (ready_time / EarliestSlot / device_score
-  // never mutate the channel or timeline state), so recording after the
-  // decision but before schedule_on reproduces the decision's inputs exactly.
+  // decision time. Evaluation-only, so recording after the decision but
+  // before schedule_on reproduces the decision's inputs exactly.
   auto record_decision = [&](OpId op, DeviceId chosen, PlacementReason reason) {
+    evaluate_devices();
     PlacementDecision dec;
     dec.op = op;
     dec.op_name = g.op(op).name;
     dec.chosen = chosen;
     dec.reason = reason;
-    dec.candidates.reserve(static_cast<size_t>(n_dev));
+    dec.candidates.reserve(devs);
     for (DeviceId d = 0; d < n_dev; ++d) {
+      const size_t di = static_cast<size_t>(d);
       CandidateScore c;
       c.device = d;
       const double w = comp_t.Time(op, d);
-      c.est_s = ready_time(d);
-      c.eft_s = timeline[static_cast<size_t>(d)].EarliestSlot(c.est_s, w) + w;
-      c.score_s = device_score(op, d);
-      c.memory_rejected = planned_mem[static_cast<size_t>(d)] +
-                              mem_need[static_cast<size_t>(op)] >
-                          mem_budget[static_cast<size_t>(d)];
+      c.est_s = ready_at[di];
+      c.eft_s = timeline[di].EarliestSlot(c.est_s, w) + w;
+      c.memory_rejected = !fits(op, d);
+      c.score_s = kInf;
+      if (!c.memory_rejected) {
+        c.score_s = c.eft_s;
+        if (options.comm_affinity > 0.0)
+          c.score_s += options.comm_affinity * traffic[di];
+      }
       if (d == chosen) dec.chosen_eft_s = c.eft_s;
       dec.candidates.push_back(c);
     }
@@ -357,14 +438,15 @@ DposResult DposListSchedule(const Graph& g, const Cluster& cluster,
     const OpId op = queue.top().op;
     queue.pop();
     FASTT_TRACE_COUNTER("dpos/ready_queue", queue.size());
-    const Operation& o = g.op(op);
+    const size_t oi = static_cast<size_t>(op);
     gather(op);
 
     DeviceId chosen = kInvalidDevice;
     PlacementReason reason = PlacementReason::kBestEft;
     bool charge_mem = true;
-    const auto colocate = o.colocate_with;
-    const DeviceId cp_dev = cp_device[static_cast<size_t>(op)];
+    double scored_start = 0.0;
+    const OpId colocate = anchor[oi];
+    const DeviceId cp_dev = cp_device[oi];
     if (colocate != kInvalidOp &&
         result.strategy.placement[static_cast<size_t>(colocate)] !=
             kInvalidDevice) {
@@ -375,35 +457,7 @@ DposResult DposListSchedule(const Graph& g, const Cluster& cluster,
       reason = PlacementReason::kCriticalPathDevice;
       charge_mem = false;
     } else {
-      // Min-(EFT + communication affinity) over memory-feasible devices:
-      // score every candidate (in parallel when wide enough), then reduce
-      // serially in device order — first strict improvement wins, matching
-      // the serial loop's tie-break exactly.
-      const bool tracing =
-          trace != nullptr && o.name.find(trace) != std::string::npos;
-      auto score_device = [&](size_t di) {
-        scores[di] = device_score(op, static_cast<DeviceId>(di));
-      };
-      // Below the threshold the loop runs inline: ParallelFor would run it
-      // serially too, but only after wrapping it in a std::function.
-      const size_t width = static_cast<size_t>(n_dev);
-      if (!tracing && width >= kMinParallelScoreDevices)
-        ParallelFor(width, score_device, kMinParallelScoreDevices);
-      else
-        for (size_t di = 0; di < width; ++di) score_device(di);
-      if (tracing) {
-        for (DeviceId d = 0; d < n_dev; ++d)
-          FASTT_LOG(Debug, "dpos %-28s d%d: score=%.4f", o.name.c_str(), d,
-                    scores[static_cast<size_t>(d)]);
-      }
-      double best_score = kInf;
-      for (DeviceId d = 0; d < n_dev; ++d) {
-        const double score = scores[static_cast<size_t>(d)];
-        if (score < best_score) {
-          best_score = score;
-          chosen = d;
-        }
-      }
+      chosen = best_device(op, &scored_start);
       if (chosen == kInvalidDevice) {
         // Nothing fits: overflow onto the device with the most headroom so a
         // complete (if infeasible) schedule is still produced for diagnosis.
@@ -423,31 +477,29 @@ DposResult DposListSchedule(const Graph& g, const Cluster& cluster,
 
     if (options.record_provenance) record_decision(op, chosen, reason);
     if (charge_mem)
-      planned_mem[static_cast<size_t>(chosen)] +=
-          mem_need[static_cast<size_t>(op)];
+      planned_mem[static_cast<size_t>(chosen)] += mem_need[oi];
 
-    schedule_on(op, chosen);
+    schedule_on(op, chosen,
+                reason == PlacementReason::kBestEft ? &scored_start : nullptr);
     ++placed;
 
-    // Count down once per live out-edge. The order in which successors
+    // Count down once per live out-arc. The order in which successors
     // become ready does not matter: ReadyOp is a strict total order on
     // (rank, id), so the queue pops the same sequence either way.
-    for (EdgeId e : g.out_edges(op)) {
-      const Edge& edge = g.edge(e);
-      if (edge.dead || g.op(edge.dst).dead) continue;
-      if (--unplaced_preds[static_cast<size_t>(edge.dst)] == 0)
-        queue.push(
-            ReadyOp{rank[static_cast<size_t>(edge.dst)], edge.dst});
+    for (int32_t a = out_begin[oi]; a < out_begin[oi + 1]; ++a) {
+      const OpId dst = out_arcs[static_cast<size_t>(a)].op;
+      if (--unplaced_preds[static_cast<size_t>(dst)] == 0)
+        queue.push(ReadyOp{rank[static_cast<size_t>(dst)], dst});
     }
   }
-  FASTT_CHECK_MSG(placed == static_cast<size_t>(g.num_live_ops()),
+  FASTT_CHECK_MSG(placed == live.size(),
                   "DPOS failed to place every op (cycle?)");
   CurrentMetrics().AddCounter("dpos/ops_placed",
-                                       static_cast<int64_t>(placed));
+                              static_cast<int64_t>(placed));
   if (result.memory_overflow)
     CurrentMetrics().AddCounter("dpos/memory_overflows");
 
-  for (OpId id : g.LiveOps())
+  for (OpId id : live)
     result.ft_exit =
         std::max(result.ft_exit, result.finish_time[static_cast<size_t>(id)]);
   result.strategy.predicted_makespan = result.ft_exit;
@@ -461,26 +513,25 @@ void OrderDposSchedule(const Graph& g, DposResult* result) {
   // tie-break then lets a consumer precede its producer (rewrites append
   // split/concat nodes at high slot ids), and the resulting priorities would
   // contradict the data deps (verifier rule order.deps).
-  std::vector<int64_t> topo_pos(static_cast<size_t>(g.num_slots()), 0);
-  {
-    const std::vector<OpId> topo = g.TopoOrder();
-    for (size_t i = 0; i < topo.size(); ++i)
-      topo_pos[static_cast<size_t>(topo[i])] = static_cast<int64_t>(i);
-  }
-  std::vector<OpId> order = g.LiveOps();
+  MemTagScope mem_scope(MemTag::kDpos);
+  TaggedVector<int64_t> topo_pos(static_cast<size_t>(g.num_slots()), 0);
+  int64_t pos = 0;
+  for (OpId id : g.TopoOrder()) topo_pos[static_cast<size_t>(id)] = pos++;
   const DposResult& r = *result;
-  std::sort(order.begin(), order.end(), [&](OpId a, OpId b) {
-    const double sa = r.start_time[static_cast<size_t>(a)];
-    const double sb = r.start_time[static_cast<size_t>(b)];
-    if (sa != sb) return sa < sb;
-    return topo_pos[static_cast<size_t>(a)] < topo_pos[static_cast<size_t>(b)];
-  });
-  result->strategy.execution_order = std::move(order);
+  result->strategy.execution_order = g.LiveOps();
+  std::sort(result->strategy.execution_order.begin(),
+            result->strategy.execution_order.end(), [&](OpId a, OpId b) {
+              const double sa = r.start_time[static_cast<size_t>(a)];
+              const double sb = r.start_time[static_cast<size_t>(b)];
+              if (sa != sb) return sa < sb;
+              return topo_pos[static_cast<size_t>(a)] <
+                     topo_pos[static_cast<size_t>(b)];
+            });
 }
 
-std::vector<OpId> RealizedCriticalPath(const Graph& g,
-                                       const DposResult& result,
-                                       const CommCostModel& comm) {
+TaggedVector<OpId> RealizedCriticalPath(const Graph& g,
+                                        const DposResult& result,
+                                        const CommCostModel& comm) {
   // Start from the op that finishes last, then repeatedly follow the
   // predecessor whose arrival bound the op's start (largest arrival time).
   OpId cur = kInvalidOp;
@@ -489,7 +540,7 @@ std::vector<OpId> RealizedCriticalPath(const Graph& g,
                                  result.finish_time[static_cast<size_t>(cur)])
       cur = id;
   }
-  std::vector<OpId> path;
+  TaggedVector<OpId> path{TaggedAlloc<OpId>(MemTag::kDpos)};
   while (cur != kInvalidOp) {
     path.push_back(cur);
     OpId binding = kInvalidOp;

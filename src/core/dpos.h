@@ -94,8 +94,8 @@ void OrderDposSchedule(const Graph& g, DposResult* result);
 
 // The critical path realized by a concrete schedule: backtrack from the op
 // with the largest finish time through the binding predecessor constraint.
-std::vector<OpId> RealizedCriticalPath(const Graph& g,
-                                       const DposResult& result,
-                                       const CommCostModel& comm);
+TaggedVector<OpId> RealizedCriticalPath(const Graph& g,
+                                        const DposResult& result,
+                                        const CommCostModel& comm);
 
 }  // namespace fastt

@@ -1,6 +1,7 @@
 #include "core/os_dpos.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "graph/memory.h"
@@ -13,8 +14,8 @@
 namespace fastt {
 namespace {
 
-std::vector<int> CandidateSplitCounts(int num_devices) {
-  std::vector<int> counts;
+TaggedVector<int> CandidateSplitCounts(int num_devices) {
+  TaggedVector<int> counts{TaggedAlloc<int>(MemTag::kDpos)};
   for (int n = 2; n <= num_devices; n *= 2) counts.push_back(n);
   if (num_devices >= 2 &&
       (counts.empty() || counts.back() != num_devices))
@@ -84,18 +85,67 @@ OsDposResult OsDpos(const Graph& g, const Cluster& cluster,
   };
   metrics.AddCounter("os_dpos/invocations");
   OsDposResult result;
-  result.graph = g;
-  SplitTrialInputs inputs(result.graph, cluster.num_devices(), comp, comm);
-  result.schedule = timed_dpos([&] {
-    return DposListSchedule(result.graph, cluster, inputs.base(),
-                            options.dpos);
+  const TaggedVector<int> counts = CandidateSplitCounts(cluster.num_devices());
+
+  // Trials rewrite scratch graphs in place and roll them back: a trial is
+  // Mark -> SplitOperation -> derive the inputs -> list-schedule -> Undo, so
+  // no trial copies or frees a graph or rebuilds whole-graph inputs, and no
+  // trial orders its schedule: only the returned one is. Lane 0 runs its
+  // trials on result.graph itself (Undo restores it exactly, and nothing
+  // else reads it during a probe); every other lane on its own copy, kept
+  // equal to result.graph (every commit below is applied to it too). A
+  // probe has at most one trial per (dimension, count), so no more lanes
+  // than that are copied, and none at --jobs 1 or inside a pool worker,
+  // where ParallelFor runs serially anyway.
+  struct Lane {
+    Graph graph;  // empty for lane 0
+    SplitTrialInputs::Lane inputs;
+  };
+  const size_t num_lanes =
+      counts.empty()            ? 0
+      : ThreadPool::InWorker() ? 1
+                               : std::min(static_cast<size_t>(SearchJobs()),
+                                          2 * counts.size());
+  TaggedVector<Lane> lanes{TaggedAlloc<Lane>(MemTag::kDpos)};
+  lanes.resize(num_lanes);
+  auto lane_graph = [&](size_t li) -> Graph& {
+    return li == 0 ? result.graph : lanes[li].graph;
+  };
+
+  // The base schedule and the graph copies only read g, so they run side by
+  // side, each index writing its own slot: index 0 builds the base inputs
+  // and schedules g on them, index 1 copies g into result.graph and index
+  // 1 + l into lane l's scratch graph.
+  struct SetupSlot {
+    std::optional<SplitTrialInputs> inputs;  // index 0
+    DposResult schedule;                     // index 0
+  };
+  TaggedVector<SetupSlot> setup{TaggedAlloc<SetupSlot>(MemTag::kDpos)};
+  setup.resize(1 + std::max<size_t>(num_lanes, 1));
+  ParallelFor(setup.size(), [&](size_t i) {
+    if (i > 0) {
+      FASTT_TRACE_SPAN("osdpos/scratch");
+      lane_graph(i - 1) = g;
+      return;
+    }
+    SetupSlot& base = setup[i];
+    base.inputs.emplace(g, cluster.num_devices(), comp, comm);
+    base.schedule = timed_dpos([&] {
+      return DposListSchedule(g, cluster, base.inputs->base(), options.dpos);
+    });
   });
+  SplitTrialInputs& inputs = *setup.front().inputs;
+  result.schedule = std::move(setup.front().schedule);
   double ft_old = result.schedule.ft_exit;
+  if (counts.empty()) {
+    OrderDposSchedule(result.graph, &result.schedule);
+    return result;
+  }
 
   // Critical path realized by the initial placement, by descending compute
   // time (the heaviest ops are the most promising split candidates).
-  std::vector<OpId> cp =
-      RealizedCriticalPath(result.graph, result.schedule, comm);
+  TaggedVector<OpId> cp = RealizedCriticalPath(result.graph, result.schedule,
+                                               comm);
   std::sort(cp.begin(), cp.end(), [&](OpId a, OpId b) {
     const auto& fa = result.schedule;
     const double wa = fa.finish_time[static_cast<size_t>(a)] -
@@ -106,24 +156,6 @@ OsDposResult OsDpos(const Graph& g, const Cluster& cluster,
     return a < b;
   });
 
-  const std::vector<int> counts = CandidateSplitCounts(cluster.num_devices());
-  if (counts.empty()) {
-    OrderDposSchedule(result.graph, &result.schedule);
-    return result;
-  }
-
-  // Trials rewrite scratch graphs in place and roll them back: one scratch
-  // graph per lane, copied from result.graph by the lane itself the first
-  // time it runs and kept equal to result.graph afterwards (every commit
-  // below is applied to it too). A trial is Mark -> SplitOperation -> derive
-  // the inputs -> list-schedule -> Undo, so no trial copies or frees a
-  // graph or rebuilds whole-graph inputs, and no trial orders its schedule:
-  // only the returned one is.
-  struct Lane {
-    Graph graph;
-    SplitTrialInputs::Lane inputs;
-  };
-  TaggedVector<Lane> lanes{TaggedAlloc<Lane>(MemTag::kDpos)};
   int probed = 0;
   for (OpId op : cp) {
     if (static_cast<int>(result.splits.size()) >= options.max_splits) break;
@@ -137,9 +169,8 @@ OsDposResult OsDpos(const Graph& g, const Cluster& cluster,
     // each trial evaluated independently into its own slot, and the winner
     // reduced serially in trial order with the same strict `<`, so the
     // committed split is identical for any --jobs value. The trials run in
-    // at most min(trials, jobs) lanes, each taking a contiguous range of
-    // them; inside a pool worker, where ParallelFor runs serially anyway,
-    // one lane runs them all.
+    // at most min(trials, lanes) lanes, each taking a contiguous range of
+    // them.
     struct Trial {
       SplitDim dim = SplitDim::kNone;
       int n = 0;
@@ -156,18 +187,10 @@ OsDposResult OsDpos(const Graph& g, const Cluster& cluster,
         trials.push_back(std::move(t));
       }
     }
-    const size_t width =
-        ThreadPool::InWorker()
-            ? std::min<size_t>(trials.size(), 1)
-            : std::min(trials.size(), static_cast<size_t>(SearchJobs()));
-    if (lanes.size() < width) lanes.resize(width);
+    const size_t width = std::min(trials.size(), lanes.size());
     ParallelFor(width, [&](size_t li) {
       Lane& lane = lanes[li];
-      Graph& scratch = lane.graph;
-      if (scratch.num_slots() == 0) {
-        FASTT_TRACE_SPAN("osdpos/scratch");
-        scratch = result.graph;
-      }
+      Graph& scratch = lane_graph(li);
       const size_t begin = li * trials.size() / width;
       const size_t end = (li + 1) * trials.size() / width;
       for (size_t i = begin; i < end; ++i) {
@@ -227,15 +250,13 @@ OsDposResult OsDpos(const Graph& g, const Cluster& cluster,
     const Trial& win = trials[best];
     result.splits.push_back(
         SplitDecision{result.graph.op(op).name, win.dim, win.n});
-    SplitOperation(result.graph, op, win.dim, win.n);
-    for (Lane& lane : lanes)
-      if (lane.graph.num_slots() != 0)
-        SplitOperation(lane.graph, op, win.dim, win.n);
+    for (size_t li = 0; li < lanes.size(); ++li)
+      SplitOperation(lane_graph(li), op, win.dim, win.n);
     inputs.Commit(result.graph, op, lanes.front().inputs);
     ft_old = best_ft;
     result.schedule = std::move(trials[best].sched);
   }
-  // Each lane frees its own scratch graph, as it copied it.
+  // The lanes free their scratch graphs side by side, as they were copied.
   ParallelFor(lanes.size(), [&](size_t li) {
     FASTT_TRACE_SPAN("osdpos/scratch");
     lanes[li].graph = Graph();

@@ -3,14 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
+// A live edge has two live endpoints (graph.h), so the edge filters below
+// test edge.dead alone.
 namespace fastt {
-namespace {
-
-bool LiveEdge(const Graph& g, const Edge& edge) {
-  return !edge.dead && !g.op(edge.src).dead && !g.op(edge.dst).dead;
-}
-
-}  // namespace
 
 TaggedVector<double> ComputeRankU(const Graph& g, const CompCostTable& comp,
                                   const CommCostTable& comm) {
@@ -47,7 +42,7 @@ void RankUSweep::Update(const Graph& g, OpId first_new,
   for (size_t i = 0; first_new > 0 && i < cone_.size(); ++i) {
     for (EdgeId e : g.in_edges(cone_[i])) {
       const Edge& edge = g.edge(e);
-      if (!LiveEdge(g, edge)) continue;
+      if (edge.dead) continue;
       int32_t& p = pending_[static_cast<size_t>(edge.src)];
       if (p != kOutside) continue;
       p = 0;
@@ -57,8 +52,7 @@ void RankUSweep::Update(const Graph& g, OpId first_new,
   for (OpId id : cone_)
     for (EdgeId e : g.out_edges(id)) {
       const Edge& edge = g.edge(e);
-      if (LiveEdge(g, edge) &&
-          pending_[static_cast<size_t>(edge.dst)] != kOutside)
+      if (!edge.dead && pending_[static_cast<size_t>(edge.dst)] != kOutside)
         ++pending_[static_cast<size_t>(id)];
     }
 
@@ -77,7 +71,7 @@ void RankUSweep::Update(const Graph& g, OpId first_new,
     double best_succ = 0.0;
     for (EdgeId e : g.out_edges(id)) {
       const Edge& edge = g.edge(e);
-      if (!LiveEdge(g, edge)) continue;
+      if (edge.dead) continue;
       best_succ = std::max(best_succ,
                            comm.MaxOverPairs(edge.bytes) +
                                rank[static_cast<size_t>(edge.dst)]);
@@ -85,8 +79,7 @@ void RankUSweep::Update(const Graph& g, OpId first_new,
     rank[static_cast<size_t>(id)] = comp.MaxOverDevices(id) + best_succ;
     for (EdgeId e : g.in_edges(id)) {
       const Edge& edge = g.edge(e);
-      if (LiveEdge(g, edge) &&
-          --pending_[static_cast<size_t>(edge.src)] == 0)
+      if (!edge.dead && --pending_[static_cast<size_t>(edge.src)] == 0)
         ready_.push_back(edge.src);
     }
   }
@@ -111,7 +104,7 @@ TaggedVector<OpId> CriticalPathByRank(const Graph& g,
     OpId next = kInvalidOp;
     for (EdgeId e : g.out_edges(best)) {
       const Edge& edge = g.edge(e);
-      if (!LiveEdge(g, edge)) continue;
+      if (edge.dead) continue;
       if (next == kInvalidOp || rank[static_cast<size_t>(edge.dst)] >
                                     rank[static_cast<size_t>(next)])
         next = edge.dst;

@@ -27,6 +27,10 @@ using EdgeId = int32_t;
 // ambient scope.
 using EdgeIdList = TaggedVector<EdgeId>;
 
+// Invariant: a live edge has two live endpoints. AddEdge rejects a dead
+// endpoint, RemoveOp kills every edge it touches, and Undo revives an op
+// with the edges its removal killed; Validate() checks it. So a reader that
+// filters edges (the DPOS view, rank_u) tests edge.dead alone.
 struct Edge {
   EdgeId id = -1;
   OpId src = kInvalidOp;

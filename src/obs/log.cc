@@ -13,26 +13,18 @@ namespace {
 
 // -1: not yet resolved from the environment.
 std::atomic<int> g_threshold{-1};
-// True once the threshold was chosen on purpose (SetLogThreshold or a
-// valid FASTT_LOG_LEVEL) — an explicit choice must not be overridden by
-// EnsureLogThresholdAtLeast's courtesy raise.
-std::atomic<bool> g_explicit{false};
 
 int ResolveThreshold() {
   int level = g_threshold.load(std::memory_order_relaxed);
   if (level >= 0) return level;
   LogLevel parsed = LogLevel::kWarn;
-  bool from_env = false;
   if (const char* env = std::getenv("FASTT_LOG_LEVEL")) {
-    from_env = ParseLogLevel(env, &parsed);  // unknown value: keep default
+    ParseLogLevel(env, &parsed);  // unknown value: keep default
   }
   // First resolver wins; a concurrent SetLogThreshold wins over us.
   int expected = -1;
-  if (g_threshold.compare_exchange_strong(expected, static_cast<int>(parsed),
-                                          std::memory_order_relaxed) &&
-      from_env) {
-    g_explicit.store(true, std::memory_order_relaxed);
-  }
+  g_threshold.compare_exchange_strong(expected, static_cast<int>(parsed),
+                                      std::memory_order_relaxed);
   return g_threshold.load(std::memory_order_relaxed);
 }
 
@@ -67,14 +59,6 @@ LogLevel LogThreshold() { return static_cast<LogLevel>(ResolveThreshold()); }
 
 void SetLogThreshold(LogLevel level) {
   g_threshold.store(static_cast<int>(level), std::memory_order_relaxed);
-  g_explicit.store(true, std::memory_order_relaxed);
-}
-
-void EnsureLogThresholdAtLeast(LogLevel level) {
-  const int current = ResolveThreshold();
-  if (g_explicit.load(std::memory_order_relaxed)) return;
-  if (static_cast<int>(level) > current)
-    g_threshold.store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
 bool LogEnabled(LogLevel level) {

@@ -28,12 +28,6 @@ bool ParseLogLevel(const std::string& text, LogLevel* out);
 // The active threshold (resolving FASTT_LOG_LEVEL on first use).
 LogLevel LogThreshold();
 void SetLogThreshold(LogLevel level);
-// Raises the threshold to at least `level` (no-op if already as verbose);
-// opt-in diagnostics like FASTT_DPOS_TRACE use this so setting their env
-// var alone is enough to see their lines. An explicitly chosen threshold
-// (SetLogThreshold / valid FASTT_LOG_LEVEL) always wins over this raise —
-// `--log-level error` stays quiet even with trace env vars set.
-void EnsureLogThresholdAtLeast(LogLevel level);
 
 // True when a message at `level` would be emitted.
 bool LogEnabled(LogLevel level);

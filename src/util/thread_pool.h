@@ -1,8 +1,8 @@
 // Fixed-size thread pool and a deterministic ParallelFor on top of it.
 //
 // The strategy search is the product's "in minutes" promise, and its hot
-// loops — candidate-device scoring in DPOS, split-factor trials in OS-DPOS —
-// are embarrassingly parallel. The pool here is deliberately minimal: a
+// loops — the critical-path device scan in DPOS, split-factor trials in
+// OS-DPOS — are embarrassingly parallel. The pool here is deliberately minimal: a
 // shared queue, no work stealing, no futures. Determinism is the design
 // constraint, not throughput: ParallelFor writes each index's result into a
 // caller-owned slot and callers reduce serially in index order afterwards,

@@ -715,22 +715,15 @@ TEST(Log, ParseLevelRoundTrip) {
   EXPECT_FALSE(ParseLogLevel("", &parsed));
 }
 
-TEST(Log, EnsureRaisesDefaultButNeverOverridesExplicit) {
+TEST(Log, MessagesLandInAmbientEventLog) {
   ::unsetenv("FASTT_LOG_LEVEL");
-  // Untouched default: warn. An opt-in diagnostic may raise it...
+  // Untouched default: warn. An explicit threshold replaces it.
   ASSERT_EQ(LogThreshold(), LogLevel::kWarn);
   EXPECT_FALSE(LogEnabled(LogLevel::kDebug));
-  EnsureLogThresholdAtLeast(LogLevel::kDebug);
-  EXPECT_TRUE(LogEnabled(LogLevel::kDebug));
-  // ...but an explicit choice wins over any later courtesy raise —
-  // `--log-level error` must stay quiet even with trace env vars set.
   SetLogThreshold(LogLevel::kError);
-  EnsureLogThresholdAtLeast(LogLevel::kDebug);
   EXPECT_EQ(LogThreshold(), LogLevel::kError);
   EXPECT_FALSE(LogEnabled(LogLevel::kWarn));
-}
 
-TEST(Log, MessagesLandInAmbientEventLog) {
   SetLogThreshold(LogLevel::kInfo);
   TelemetryContext context;
   {

@@ -86,9 +86,11 @@ INSTANTIATE_TEST_SUITE_P(ModelZoo, ParallelSearchModelSweep,
                                            "bert_large"));
 
 TEST(ParallelSearch, WideClusterIsByteIdenticalAcrossJobs) {
-  // 16 devices crosses the per-pop device-scoring parallelism threshold
-  // (kMinParallelScoreDevices) that the 4-device sweeps above never reach,
-  // so this is the differential coverage for that inner ParallelFor.
+  // 16 devices give four split counts, so at --jobs 8 OS-DPOS copies the
+  // graph for seven lanes next to lane 0 (which runs on result.graph) and
+  // the CP-device scan fans out 16 wide; the 4-device sweeps above use at
+  // most four lanes, so this is the differential coverage for the widest
+  // lane setup.
   JobsGuard guard;
   const ModelSpec& spec = FindModel("alexnet");
   const Cluster cluster = Cluster::SingleServer(16);

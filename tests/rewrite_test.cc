@@ -242,6 +242,17 @@ void ExpectSameGraph(const Graph& want, const Graph& got,
     ASSERT_EQ(got.FindOp(name), want.FindOp(name)) << name;
 }
 
+// graph.h's invariant, which the scheduler's and rank_u's edge filters rely
+// on: a live edge has two live endpoints.
+void ExpectLiveEdgesHaveLiveEndpoints(const Graph& g) {
+  for (EdgeId e = 0; e < g.num_edge_slots(); ++e) {
+    const Edge& edge = g.edge(e);
+    if (edge.dead) continue;
+    ASSERT_FALSE(g.op(edge.src).dead) << "edge " << e << " from dead op";
+    ASSERT_FALSE(g.op(edge.dst).dead) << "edge " << e << " into dead op";
+  }
+}
+
 // Ops some live op is colocated with.
 std::set<OpId> ColocationAnchors(const Graph& g) {
   std::set<OpId> anchors;
@@ -257,10 +268,12 @@ class JournalFuzzer {
 
   // Marks, makes `edits` random edits (opening nested marks at depth <
   // max_depth), undoes, and checks the graph against the copy at Mark().
+  // The live-edge invariant is checked after every edit, Commit and Undo.
   void MarkEditUndo(int edits, int depth, int max_depth) {
     const Graph at_mark = g_;
     const size_t mark = g_.Mark();
     for (int i = 0; i < edits; ++i) {
+      if (::testing::Test::HasFatalFailure()) return;
       const uint64_t pick = rng_.NextBelow(10);
       if (pick < 5) {
         Split();
@@ -281,13 +294,16 @@ class JournalFuzzer {
           ++commits_;
         }
       }
+      ExpectLiveEdgesHaveLiveEndpoints(g_);
     }
+    if (::testing::Test::HasFatalFailure()) return;
     std::set<std::string> names;
     for (const Graph* g : {&at_mark, static_cast<const Graph*>(&g_)})
       for (OpId id = 0; id < g->num_slots(); ++id)
         names.insert(g->op(id).name);
     g_.Undo(mark);
     ++undos_;
+    ExpectLiveEdgesHaveLiveEndpoints(g_);
     ExpectSameGraph(at_mark, g_, names);
   }
 
