@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the algorithmic building blocks:
 // DPOS scheduling throughput vs. graph size and device count, OS-DPOS split
-// probing, the graph rewrite, the discrete-event executor, and rank
-// computation. These back DESIGN.md's claim that FastT's complexity is
-// linear in ops x devices.
+// probing, the graph rewrite and graph copies, the discrete-event executor,
+// and rank computation. These back DESIGN.md's claim that FastT's complexity
+// is linear in ops x devices.
 //
 // When FASTT_BENCH_JSON names a path, per-iteration real times are also
 // written there as a fastt-bench/1 document (one report per benchmark, one
@@ -89,6 +89,25 @@ void BM_SplitOperation(benchmark::State& state) {
   }
 }
 
+// A graph copy as OS-DPOS makes one per lane: copy the DP graph, split one
+// op on the copy (the first write clones the chunks it touches) and free it.
+void BM_GraphCopy(benchmark::State& state, const std::string& model) {
+  const ModelSpec& spec = FindModel(model);
+  const Graph base =
+      BuildDataParallel(spec.build, spec.name, spec.strong_batch,
+                        static_cast<int>(state.range(0)), Scaling::kStrong)
+          .graph;
+  std::vector<OpId> splittable;
+  for (OpId id : base.LiveOps())
+    if (CanSplit(base, id, SplitDim::kBatch, 2)) splittable.push_back(id);
+  const OpId target = splittable[splittable.size() / 2];
+  for (auto _ : state) {
+    Graph g = base;
+    benchmark::DoNotOptimize(SplitOperation(g, target, SplitDim::kBatch, 2));
+  }
+  state.counters["ops"] = base.num_live_ops();
+}
+
 void BM_RankU(benchmark::State& state) {
   Prepared p = PrepareModel("resnet200", 4);
   for (auto _ : state) {
@@ -104,6 +123,7 @@ BENCHMARK(BM_OsDpos)->Arg(2)->Arg(4);
 BENCHMARK_CAPTURE(BM_Simulate, vgg19, "vgg19")->Arg(2)->Arg(4);
 BENCHMARK_CAPTURE(BM_Simulate, bert, "bert_large")->Arg(2)->Arg(8);
 BENCHMARK(BM_SplitOperation)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK_CAPTURE(BM_GraphCopy, bert, "bert_large")->Arg(8);
 BENCHMARK(BM_RankU);
 
 // Console output as usual, plus per-iteration real times captured for the

@@ -53,7 +53,10 @@ DataParallelGraph BuildDataParallel(const ModelBuildFn& build,
       const OpId canonical = vars.front();
       for (size_t i = 1; i < vars.size(); ++i) {
         const OpId victim = vars[i];
-        for (EdgeId e : dp.graph.out_edges(victim)) {
+        // Snapshot: AddEdge may move the graph's edge lists.
+        const std::vector<EdgeId> outs(dp.graph.out_edges(victim).begin(),
+                                       dp.graph.out_edges(victim).end());
+        for (EdgeId e : outs) {
           const Edge& edge = dp.graph.edge(e);
           if (edge.dead) continue;
           dp.graph.AddEdge(canonical, edge.dst, edge.bytes);

@@ -1,7 +1,6 @@
 #include "core/os_dpos.h"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "graph/memory.h"
@@ -85,62 +84,43 @@ OsDposResult OsDpos(const Graph& g, const Cluster& cluster,
   };
   metrics.AddCounter("os_dpos/invocations");
   OsDposResult result;
+  result.graph = g;
+  SplitTrialInputs inputs(g, cluster.num_devices(), comp, comm);
+  result.schedule = timed_dpos([&] {
+    return DposListSchedule(g, cluster, inputs.base(), options.dpos);
+  });
+  double ft_old = result.schedule.ft_exit;
   const TaggedVector<int> counts = CandidateSplitCounts(cluster.num_devices());
+  if (counts.empty()) {
+    OrderDposSchedule(result.graph, &result.schedule);
+    return result;
+  }
 
   // Trials rewrite scratch graphs in place and roll them back: a trial is
   // Mark -> SplitOperation -> derive the inputs -> list-schedule -> Undo, so
   // no trial copies or frees a graph or rebuilds whole-graph inputs, and no
   // trial orders its schedule: only the returned one is. Lane 0 runs its
   // trials on result.graph itself (Undo restores it exactly, and nothing
-  // else reads it during a probe); every other lane on its own copy, kept
-  // equal to result.graph (every commit below is applied to it too). A
-  // probe has at most one trial per (dimension, count), so no more lanes
-  // than that are copied, and none at --jobs 1 or inside a pool worker,
-  // where ParallelFor runs serially anyway.
+  // else reads it during a probe); every other lane on its own copy of g,
+  // kept equal to result.graph (every commit below is applied to it too).
+  // Copies share g's storage until a trial writes to it. A probe has at
+  // most one trial per (dimension, count), so there are no more lanes than
+  // that, and one at --jobs 1 or inside a pool worker, where ParallelFor
+  // runs serially anyway.
   struct Lane {
     Graph graph;  // empty for lane 0
     SplitTrialInputs::Lane inputs;
   };
   const size_t num_lanes =
-      counts.empty()            ? 0
-      : ThreadPool::InWorker() ? 1
-                               : std::min(static_cast<size_t>(SearchJobs()),
-                                          2 * counts.size());
+      ThreadPool::InWorker()
+          ? 1
+          : std::min(static_cast<size_t>(SearchJobs()), 2 * counts.size());
   TaggedVector<Lane> lanes{TaggedAlloc<Lane>(MemTag::kDpos)};
   lanes.resize(num_lanes);
+  for (size_t li = 1; li < num_lanes; ++li) lanes[li].graph = g;
   auto lane_graph = [&](size_t li) -> Graph& {
     return li == 0 ? result.graph : lanes[li].graph;
   };
-
-  // The base schedule and the graph copies only read g, so they run side by
-  // side, each index writing its own slot: index 0 builds the base inputs
-  // and schedules g on them, index 1 copies g into result.graph and index
-  // 1 + l into lane l's scratch graph.
-  struct SetupSlot {
-    std::optional<SplitTrialInputs> inputs;  // index 0
-    DposResult schedule;                     // index 0
-  };
-  TaggedVector<SetupSlot> setup{TaggedAlloc<SetupSlot>(MemTag::kDpos)};
-  setup.resize(1 + std::max<size_t>(num_lanes, 1));
-  ParallelFor(setup.size(), [&](size_t i) {
-    if (i > 0) {
-      FASTT_TRACE_SPAN("osdpos/scratch");
-      lane_graph(i - 1) = g;
-      return;
-    }
-    SetupSlot& base = setup[i];
-    base.inputs.emplace(g, cluster.num_devices(), comp, comm);
-    base.schedule = timed_dpos([&] {
-      return DposListSchedule(g, cluster, base.inputs->base(), options.dpos);
-    });
-  });
-  SplitTrialInputs& inputs = *setup.front().inputs;
-  result.schedule = std::move(setup.front().schedule);
-  double ft_old = result.schedule.ft_exit;
-  if (counts.empty()) {
-    OrderDposSchedule(result.graph, &result.schedule);
-    return result;
-  }
 
   // Critical path realized by the initial placement, by descending compute
   // time (the heaviest ops are the most promising split candidates).
@@ -256,12 +236,6 @@ OsDposResult OsDpos(const Graph& g, const Cluster& cluster,
     ft_old = best_ft;
     result.schedule = std::move(trials[best].sched);
   }
-  // The lanes free their scratch graphs side by side, as they were copied.
-  ParallelFor(lanes.size(), [&](size_t li) {
-    FASTT_TRACE_SPAN("osdpos/scratch");
-    lanes[li].graph = Graph();
-  });
-
   OrderDposSchedule(result.graph, &result.schedule);
   result.schedule.strategy.splits = result.splits;
   metrics.AddCounter("os_dpos/split_probes",

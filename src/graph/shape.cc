@@ -1,5 +1,7 @@
 #include "graph/shape.h"
 
+#include <vector>
+
 #include "util/check.h"
 #include "util/strings.h"
 
@@ -33,12 +35,17 @@ const char* DTypeName(DType dtype) {
   return "?";
 }
 
-TensorShape::TensorShape(std::initializer_list<int64_t> dims) : dims_(dims) {
-  for (int64_t d : dims_) FASTT_CHECK_MSG(d >= 0, "negative dimension");
-}
+TensorShape::TensorShape(std::initializer_list<int64_t> dims)
+    : TensorShape(std::span<const int64_t>(dims.begin(), dims.size())) {}
 
-TensorShape::TensorShape(std::vector<int64_t> dims) : dims_(std::move(dims)) {
-  for (int64_t d : dims_) FASTT_CHECK_MSG(d >= 0, "negative dimension");
+TensorShape::TensorShape(std::span<const int64_t> dims) {
+  FASTT_CHECK_MSG(static_cast<int64_t>(dims.size()) <= kMaxRank,
+                  StrFormat("rank %zu exceeds the inline capacity %lld",
+                            dims.size(), static_cast<long long>(kMaxRank)));
+  for (int64_t d : dims) {
+    FASTT_CHECK_MSG(d >= 0, "negative dimension");
+    dims_[static_cast<size_t>(rank_++)] = d;
+  }
 }
 
 int64_t TensorShape::dim(int64_t i) const {
@@ -48,7 +55,7 @@ int64_t TensorShape::dim(int64_t i) const {
 
 int64_t TensorShape::num_elements() const {
   int64_t n = 1;
-  for (int64_t d : dims_) n *= d;
+  for (int64_t d : dims()) n *= d;
   return n;
 }
 
@@ -59,15 +66,15 @@ int64_t TensorShape::ByteSize(DType dtype) const {
 TensorShape TensorShape::WithDim(int64_t i, int64_t v) const {
   FASTT_CHECK(i >= 0 && i < rank());
   FASTT_CHECK(v >= 0);
-  std::vector<int64_t> dims = dims_;
-  dims[static_cast<size_t>(i)] = v;
-  return TensorShape(std::move(dims));
+  TensorShape out = *this;
+  out.dims_[static_cast<size_t>(i)] = v;
+  return out;
 }
 
 std::string TensorShape::ToString() const {
   std::vector<std::string> parts;
-  parts.reserve(dims_.size());
-  for (int64_t d : dims_) parts.push_back(StrFormat("%lld", (long long)d));
+  parts.reserve(static_cast<size_t>(rank_));
+  for (int64_t d : dims()) parts.push_back(StrFormat("%lld", (long long)d));
   // Built via append rather than operator+ chains: GCC 12's -Wrestrict
   // false-fires on `"[" + std::string&& + "]"` at -O3 (PR105329).
   std::string out = "[";

@@ -6,10 +6,11 @@
 // definitions the paper trains.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <initializer_list>
+#include <span>
 #include <string>
-#include <vector>
 
 namespace fastt {
 
@@ -24,15 +25,22 @@ enum class DType : uint8_t {
 int64_t DTypeSize(DType dtype);
 const char* DTypeName(DType dtype);
 
+// Dims are stored inline, so a shape (and the Operation holding it) owns no
+// heap block. Every model in the zoo stays within kMaxRank; a higher rank is
+// rejected at construction.
 class TensorShape {
  public:
+  static constexpr int64_t kMaxRank = 4;
+
   TensorShape() = default;
   TensorShape(std::initializer_list<int64_t> dims);
-  explicit TensorShape(std::vector<int64_t> dims);
+  explicit TensorShape(std::span<const int64_t> dims);
 
-  int64_t rank() const { return static_cast<int64_t>(dims_.size()); }
+  int64_t rank() const { return rank_; }
   int64_t dim(int64_t i) const;
-  const std::vector<int64_t>& dims() const { return dims_; }
+  std::span<const int64_t> dims() const {
+    return {dims_.data(), static_cast<size_t>(rank_)};
+  }
 
   // Product of dimensions; 1 for a scalar (rank 0).
   int64_t num_elements() const;
@@ -44,10 +52,12 @@ class TensorShape {
 
   std::string ToString() const;  // e.g. "[64,224,224,3]"
 
+  // Dims past rank() stay 0, so the member-wise compare is the shape compare.
   bool operator==(const TensorShape& other) const = default;
 
  private:
-  std::vector<int64_t> dims_;
+  std::array<int64_t, kMaxRank> dims_{};
+  int64_t rank_ = 0;
 };
 
 }  // namespace fastt

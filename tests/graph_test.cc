@@ -133,19 +133,6 @@ TEST(Graph, CycleDetection) {
   EXPECT_THROW(g.TopoOrder(), std::logic_error);
 }
 
-TEST(Graph, EntryAndExitOps) {
-  Graph g;
-  const OpId a = g.AddOp(MakeOp("a"));
-  const OpId b = g.AddOp(MakeOp("b"));
-  const OpId c = g.AddOp(MakeOp("c"));
-  g.AddEdge(a, b);
-  g.AddEdge(b, c);
-  EXPECT_EQ(g.EntryOps(), std::vector<OpId>{a});
-  EXPECT_EQ(g.ExitOps(), std::vector<OpId>{c});
-  g.RemoveOp(c);
-  EXPECT_EQ(g.ExitOps(), std::vector<OpId>{b});
-}
-
 TEST(Graph, LongestPathFromExit) {
   // a(1) -> b(2) -> d(4);  a -> c(10) -> d.  Edge weight = bytes.
   Graph g;

@@ -171,5 +171,33 @@ TEST(MemTrackZoo, GraphBuildAndSimulateChargeTheirTags) {
   mt.Disable();
 }
 
+// A graph copy shares the op chunks: the graph tag is charged for the
+// copy's edge array, name index and chunk handles, and for a chunk only when
+// a write clones it. Everything comes back when the graphs go.
+TEST(MemTrackZoo, GraphCopiesShareChunks) {
+  MemTracker& mt = MemTracker::Global();
+  mt.Enable();
+  {
+    const Graph g = BuildSingle(FindModel("resnet200"), 8);
+    const auto slots = static_cast<uint32_t>(g.num_slots());
+    const int64_t chunks =
+        (slots + Graph::kChunkSlots - 1) / Graph::kChunkSlots;
+    ASSERT_GE(chunks, 8);
+    const int64_t built = mt.stats(MemTag::kGraph).live_bytes;
+    Graph copy = g;
+    const int64_t copied = mt.stats(MemTag::kGraph).live_bytes - built;
+    EXPECT_GT(copied, 0);
+    EXPECT_LT(copied, built / 4);
+    copy.mutable_op(0).flops += 1.0;  // clones the first chunk alone
+    const int64_t cloned =
+        mt.stats(MemTag::kGraph).live_bytes - built - copied;
+    EXPECT_GT(cloned, 0);
+    EXPECT_LT(cloned, 2 * built / chunks);
+    EXPECT_EQ(copy.op(0).flops, g.op(0).flops + 1.0);
+  }
+  EXPECT_EQ(mt.stats(MemTag::kGraph).live_bytes, 0);
+  mt.Disable();
+}
+
 }  // namespace
 }  // namespace fastt

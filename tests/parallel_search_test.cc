@@ -9,9 +9,12 @@
 #include <string>
 #include <vector>
 
+#include "core/data_parallel.h"
 #include "core/os_dpos.h"
 #include "core/strategy_calculator.h"
 #include "core/strategy_io.h"
+#include "graph/rewrite.h"
+#include "graph/serialize.h"
 #include "models/model_zoo.h"
 #include "sim/exec_sim.h"
 #include "sim/profiler.h"
@@ -115,6 +118,52 @@ TEST(ParallelSearch, WideClusterIsByteIdenticalAcrossJobs) {
     EXPECT_EQ(parallel.schedule.ft_exit, serial.schedule.ft_exit)
         << "jobs " << jobs;
   }
+}
+
+TEST(ParallelSearch, CopiesOfOneGraphAreMutatedConcurrently) {
+  // Graph copies share the original's storage until they write to it. Each
+  // task copies the bert_large 1x8 DP graph, splits ops of its copy under a
+  // mark and undoes them, while the other tasks copy, split and free theirs
+  // and the original is only read. Every task splits the same op first, so
+  // several threads clone the same shared chunk at once. Under CI's TSan
+  // job (FASTT_JOBS=8) this runs on 8 threads.
+  JobsGuard guard;
+  SetSearchJobs(std::max(SearchJobs(), 4));
+  const ModelSpec& spec = FindModel("bert_large");
+  const Graph g =
+      BuildDataParallel(spec.build, spec.name, 16, 8, Scaling::kStrong).graph;
+  const std::string before = SerializeGraph(g);
+  std::vector<OpId> splittable;
+  for (OpId id : g.LiveOps())
+    if (CanSplit(g, id, SplitDim::kBatch, 2)) splittable.push_back(id);
+  ASSERT_GE(splittable.size(), 64u);
+
+  constexpr size_t kCopies = 8;
+  constexpr size_t kRounds = 3;
+  std::vector<int> splits(kCopies, 0);
+  std::vector<std::string> after(kCopies);
+  ParallelFor(kCopies, [&](size_t i) {
+    Graph copy = g;
+    for (size_t round = 0; round < kRounds; ++round) {
+      const OpId op =
+          splittable[round == 0 ? 0
+                                : (i * splittable.size() / kCopies +
+                                   round * 31) % splittable.size()];
+      const int live = copy.num_live_ops();
+      const size_t mark = copy.Mark();
+      SplitOperation(copy, op, SplitDim::kBatch, 2);
+      if (copy.op(op).dead && copy.num_live_ops() > live && !g.op(op).dead)
+        ++splits[i];
+      copy.Undo(mark);
+    }
+    after[i] = SerializeGraph(copy);
+  });
+  for (size_t i = 0; i < kCopies; ++i) {
+    EXPECT_EQ(splits[i], static_cast<int>(kRounds)) << "copy " << i;
+    // Compared as a bool: a mismatch would print two multi-MiB strings.
+    EXPECT_TRUE(after[i] == before) << "copy " << i << " differs after Undo";
+  }
+  EXPECT_TRUE(SerializeGraph(g) == before) << "the original changed";
 }
 
 TEST(ParallelSearch, FullWorkflowIsByteIdenticalAcrossJobs) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -217,21 +220,32 @@ INSTANTIATE_TEST_SUITE_P(
                                          SplitDim::kChannel),
                        ::testing::Values(2, 3, 4, 8)));
 
-// ---- Undo journal ------------------------------------------------------------
+// ---- Undo journal and shared copies ----------------------------------------
 //
 // Random edit sequences under nested marks must leave the graph equal to a
-// copy taken at Mark() once undone.
+// copy taken at Mark() once undone. Copies taken along the way, inside and
+// outside open marks, share storage with the graph they were copied from and
+// are edited in between, so every graph is also checked, after every step,
+// against a reference that shares nothing with it: rebuilt from the model
+// and given the same edits.
 
-// What Graph::Undo promises to restore, beyond the serialized text.
-void ExpectSameGraph(const Graph& want, const Graph& got,
-                     const std::set<std::string>& names) {
-  ASSERT_EQ(SerializeGraph(got), SerializeGraph(want));
+std::vector<EdgeId> Ids(std::span<const EdgeId> list) {
+  return {list.begin(), list.end()};
+}
+
+// What Graph::Undo promises to restore, beyond the serialized text
+// (`want_text`, SerializeGraph(want)).
+void ExpectSameGraph(const Graph& want, const std::string& want_text,
+                     const Graph& got, const std::set<std::string>& names) {
+  ASSERT_EQ(SerializeGraph(got), want_text);
   ASSERT_EQ(got.num_slots(), want.num_slots());
   ASSERT_EQ(got.num_edge_slots(), want.num_edge_slots());
   EXPECT_EQ(got.num_live_ops(), want.num_live_ops());
   for (OpId id = 0; id < want.num_slots(); ++id) {
-    ASSERT_EQ(got.in_edges(id), want.in_edges(id)) << want.op(id).name;
-    ASSERT_EQ(got.out_edges(id), want.out_edges(id)) << want.op(id).name;
+    ASSERT_EQ(Ids(got.in_edges(id)), Ids(want.in_edges(id)))
+        << want.op(id).name;
+    ASSERT_EQ(Ids(got.out_edges(id)), Ids(want.out_edges(id)))
+        << want.op(id).name;
     ASSERT_EQ(got.op(id).dead, want.op(id).dead) << want.op(id).name;
     ASSERT_EQ(got.op(id).colocate_with, want.op(id).colocate_with)
         << want.op(id).name;
@@ -240,6 +254,11 @@ void ExpectSameGraph(const Graph& want, const Graph& got,
     ASSERT_EQ(got.edge(e).dead, want.edge(e).dead) << "edge " << e;
   for (const std::string& name : names)
     ASSERT_EQ(got.FindOp(name), want.FindOp(name)) << name;
+}
+
+void ExpectSameGraph(const Graph& want, const Graph& got,
+                     const std::set<std::string>& names) {
+  ExpectSameGraph(want, SerializeGraph(want), got, names);
 }
 
 // graph.h's invariant, which the scheduler's and rank_u's edge filters rely
@@ -262,49 +281,108 @@ std::set<OpId> ColocationAnchors(const Graph& g) {
   return anchors;
 }
 
+// One edit, replayable on any graph in the same state.
+struct Edit {
+  enum class Kind {
+    kSplit, kRemoveOp, kRemoveEdge, kColocate, kMark, kUndo, kCommit
+  };
+  Kind kind = Kind::kMark;
+  int32_t a = 0;  // op, edge, or the mark Undo/Commit closes
+  int32_t b = 0;  // colocation target
+  SplitDim dim = SplitDim::kNone;
+  int n = 0;
+};
+
+void Apply(Graph& g, const Edit& e) {
+  switch (e.kind) {
+    case Edit::Kind::kSplit:
+      SplitOperation(g, e.a, e.dim, e.n);
+      break;
+    case Edit::Kind::kRemoveOp:
+      g.RemoveOp(e.a);
+      break;
+    case Edit::Kind::kRemoveEdge:
+      g.RemoveEdge(e.a);
+      break;
+    case Edit::Kind::kColocate:
+      g.SetColocateWith(e.a, e.b);
+      break;
+    case Edit::Kind::kMark:
+      ASSERT_EQ(g.Mark(), static_cast<size_t>(e.a));
+      break;
+    case Edit::Kind::kUndo:
+      g.Undo(static_cast<size_t>(e.a));
+      break;
+    case Edit::Kind::kCommit:
+      g.Commit(static_cast<size_t>(e.a));
+      break;
+  }
+}
+
+// A graph under test, every edit made to it since it was built, and its
+// reference: built from scratch and given the same edits, never copied.
+struct Tracked {
+  Graph graph;
+  Graph ref;
+  std::string ref_text;  // SerializeGraph(ref), kept current
+  std::vector<Edit> log;
+  int32_t open_marks = 0;
+};
+
 class JournalFuzzer {
  public:
-  JournalFuzzer(Graph& g, uint64_t seed) : g_(g), rng_(seed) {}
+  // `build` makes the fresh graph every reference starts from.
+  JournalFuzzer(std::function<Graph()> build, uint64_t seed, size_t max_copies)
+      : build_(std::move(build)), rng_(seed), max_copies_(max_copies) {
+    root_.graph = build_();
+    root_.ref = build_();
+    root_.ref_text = SerializeGraph(root_.ref);
+    AddNames(root_.graph, 0);
+  }
 
-  // Marks, makes `edits` random edits (opening nested marks at depth <
+  const Graph& graph() const { return root_.graph; }
+
+  // Marks, makes `edits` random steps (opening nested marks at depth <
   // max_depth), undoes, and checks the graph against the copy at Mark().
-  // The live-edge invariant is checked after every edit, Commit and Undo.
+  // A step edits the graph or one of the live copies, takes a copy of
+  // either, or marks, undoes or commits on a copy; after each, every graph
+  // is checked against its reference and for the live-edge invariant.
   void MarkEditUndo(int edits, int depth, int max_depth) {
-    const Graph at_mark = g_;
-    const size_t mark = g_.Mark();
+    if (depth == 0 && max_copies_ > 0) TakeCopy(root_);
+    const Graph at_mark = root_.graph;
+    const int32_t mark = root_.open_marks;
+    Do(root_, {Edit::Kind::kMark, mark});
     for (int i = 0; i < edits; ++i) {
       if (::testing::Test::HasFatalFailure()) return;
-      const uint64_t pick = rng_.NextBelow(10);
-      if (pick < 5) {
-        Split();
-      } else if (pick < 6) {
-        RemoveOp();
-      } else if (pick < 7) {
-        RemoveEdge();
-      } else if (pick < 8) {
-        Colocate();
+      const uint64_t pick = rng_.NextBelow(12);
+      if (pick < 8) {
+        Tracked& t = PickGraph();
+        if (&t != &root_) ++copy_edits_;
+        RandomEdit(t, pick);
+      } else if (pick < 9) {
+        if (max_copies_ > 0) TakeCopy(PickGraph());
+      } else if (pick < 10) {
+        if (!copies_.empty())
+          MarkOrClose(*copies_[rng_.NextBelow(copies_.size())]);
       } else if (depth < max_depth) {
         if (rng_.NextBool(0.5)) {
           MarkEditUndo(edits / 2, depth + 1, max_depth);
         } else {
           // Committed edits stay journaled under this mark.
-          const size_t inner = g_.Mark();
-          for (int k = 0; k < 2; ++k) Split();
-          g_.Commit(inner);
+          const int32_t inner = root_.open_marks;
+          Do(root_, {Edit::Kind::kMark, inner});
+          for (int k = 0; k < 2; ++k) Split(root_);
+          Do(root_, {Edit::Kind::kCommit, inner});
           ++commits_;
         }
       }
-      ExpectLiveEdgesHaveLiveEndpoints(g_);
+      CheckAll();
     }
     if (::testing::Test::HasFatalFailure()) return;
-    std::set<std::string> names;
-    for (const Graph* g : {&at_mark, static_cast<const Graph*>(&g_)})
-      for (OpId id = 0; id < g->num_slots(); ++id)
-        names.insert(g->op(id).name);
-    g_.Undo(mark);
+    Do(root_, {Edit::Kind::kUndo, mark});
     ++undos_;
-    ExpectLiveEdgesHaveLiveEndpoints(g_);
-    ExpectSameGraph(at_mark, g_, names);
+    CheckAll();
+    ExpectSameGraph(at_mark, root_.graph, names_);
   }
 
   int splits() const { return splits_; }
@@ -312,110 +390,216 @@ class JournalFuzzer {
   int resplits() const { return resplits_; }
   int undos() const { return undos_; }
   int commits() const { return commits_; }
+  int copies_in_marks() const { return copies_in_marks_; }
+  int copies_outside_marks() const { return copies_outside_marks_; }
+  int copy_edits() const { return copy_edits_; }
+  int copy_undos() const { return copy_undos_; }
 
  private:
+  void Do(Tracked& t, const Edit& e) {
+    const OpId slots = t.graph.num_slots();
+    Apply(t.graph, e);
+    Apply(t.ref, e);
+    if (e.kind != Edit::Kind::kMark && e.kind != Edit::Kind::kCommit)
+      t.ref_text = SerializeGraph(t.ref);
+    t.log.push_back(e);
+    if (e.kind == Edit::Kind::kMark) ++t.open_marks;
+    if (e.kind == Edit::Kind::kUndo || e.kind == Edit::Kind::kCommit)
+      --t.open_marks;
+    AddNames(t.graph, slots);
+  }
+
+  void AddNames(const Graph& g, OpId from) {
+    for (OpId id = from; id < g.num_slots(); ++id) names_.insert(g.op(id).name);
+  }
+
+  // Every graph against its reference, FindOp over every name any slot of
+  // any graph had (so undone ops must be gone from the index too).
+  void CheckAll() {
+    for (const Tracked* t : Graphs()) {
+      ExpectLiveEdgesHaveLiveEndpoints(t->graph);
+      ExpectSameGraph(t->ref, t->ref_text, t->graph, names_);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+
+  std::vector<Tracked*> Graphs() {
+    std::vector<Tracked*> all = {&root_};
+    for (auto& c : copies_) all.push_back(c.get());
+    return all;
+  }
+
+  Tracked& PickGraph() {
+    const std::vector<Tracked*> all = Graphs();
+    return *all[rng_.NextBelow(all.size())];
+  }
+
+  // Copies `from` (sharing its storage, open marks and journal); its
+  // reference is rebuilt and replays `from`'s edits. Past max_copies_ a
+  // random older copy is dropped.
+  void TakeCopy(const Tracked& from) {
+    auto copy = std::make_unique<Tracked>();
+    copy->graph = from.graph;
+    copy->log = from.log;
+    copy->open_marks = from.open_marks;
+    copy->ref = build_();
+    for (const Edit& e : copy->log) Apply(copy->ref, e);
+    copy->ref_text = SerializeGraph(copy->ref);
+    (from.open_marks > 0 ? copies_in_marks_ : copies_outside_marks_)++;
+    if (copies_.size() == max_copies_)
+      copies_.erase(copies_.begin() +
+                    static_cast<std::ptrdiff_t>(rng_.NextBelow(max_copies_)));
+    copies_.push_back(std::move(copy));
+  }
+
+  // On a copy: undoes or commits its innermost mark (one it may have
+  // inherited from the graph it was copied from), or opens a new one.
+  void MarkOrClose(Tracked& t) {
+    if (t.open_marks > 0 && (t.open_marks >= 4 || rng_.NextBool(0.6))) {
+      const bool undo = rng_.NextBool(0.7);
+      Do(t, {undo ? Edit::Kind::kUndo : Edit::Kind::kCommit,
+             t.open_marks - 1});
+      copy_undos_ += undo ? 1 : 0;
+    } else {
+      Do(t, {Edit::Kind::kMark, t.open_marks});
+    }
+  }
+
+  void RandomEdit(Tracked& t, uint64_t pick) {
+    if (pick < 5) {
+      Split(t);
+    } else if (pick < 6) {
+      Do(t, {Edit::Kind::kRemoveOp, RandomLiveOp(t.graph)});
+    } else if (pick < 7) {
+      Do(t, {Edit::Kind::kRemoveEdge,
+             static_cast<EdgeId>(rng_.NextBelow(
+                 static_cast<uint64_t>(t.graph.num_edge_slots())))});
+    } else {
+      Colocate(t);
+    }
+  }
+
   // Splits a random splittable op; half the time a colocation anchor or a
   // split-produced sub-op when there is a splittable one.
-  void Split() {
-    const std::set<OpId> anchors = ColocationAnchors(g_);
+  void Split(Tracked& t) {
+    const Graph& g = t.graph;
+    const std::set<OpId> anchors = ColocationAnchors(g);
     std::vector<OpId> pool;
     if (rng_.NextBool(0.5)) {
       for (OpId id : anchors)
-        if (Splittable(id)) pool.push_back(id);
-      for (OpId id = 0; id < g_.num_slots(); ++id)
-        if (g_.op(id).name.find("/part") != std::string::npos &&
-            Splittable(id))
+        if (Splittable(g, id)) pool.push_back(id);
+      for (OpId id = 0; id < g.num_slots(); ++id)
+        if (g.op(id).name.find("/part") != std::string::npos &&
+            Splittable(g, id))
           pool.push_back(id);
     }
     if (pool.empty())
-      for (OpId id = 0; id < g_.num_slots(); ++id)
-        if (Splittable(id)) pool.push_back(id);
+      for (OpId id = 0; id < g.num_slots(); ++id)
+        if (Splittable(g, id)) pool.push_back(id);
     if (pool.empty()) return;
     const OpId op = pool[rng_.NextBelow(pool.size())];
     std::vector<std::pair<SplitDim, int>> ways;
     for (SplitDim dim : {SplitDim::kBatch, SplitDim::kChannel})
       for (int n : {2, 3, 4})
-        if (CanSplit(g_, op, dim, n)) ways.emplace_back(dim, n);
+        if (CanSplit(g, op, dim, n)) ways.emplace_back(dim, n);
     const auto [dim, n] = ways[rng_.NextBelow(ways.size())];
     anchor_splits_ += anchors.count(op) > 0 ? 1 : 0;
-    resplits_ +=
-        g_.op(op).name.find("/part") != std::string::npos ? 1 : 0;
-    SplitOperation(g_, op, dim, n);
+    resplits_ += g.op(op).name.find("/part") != std::string::npos ? 1 : 0;
+    Do(t, {Edit::Kind::kSplit, op, 0, dim, n});
     ++splits_;
   }
 
-  bool Splittable(OpId id) const {
+  static bool Splittable(const Graph& g, OpId id) {
     for (SplitDim dim : {SplitDim::kBatch, SplitDim::kChannel})
-      if (CanSplit(g_, id, dim, 2)) return true;
+      if (CanSplit(g, id, dim, 2)) return true;
     return false;
   }
 
-  OpId RandomLiveOp() {
+  OpId RandomLiveOp(const Graph& g) {
     for (;;) {
       const OpId id = static_cast<OpId>(
-          rng_.NextBelow(static_cast<uint64_t>(g_.num_slots())));
-      if (!g_.op(id).dead) return id;
+          rng_.NextBelow(static_cast<uint64_t>(g.num_slots())));
+      if (!g.op(id).dead) return id;
     }
   }
 
-  void RemoveOp() { g_.RemoveOp(RandomLiveOp()); }
-
-  void RemoveEdge() {
-    g_.RemoveEdge(static_cast<EdgeId>(
-        rng_.NextBelow(static_cast<uint64_t>(g_.num_edge_slots()))));
-  }
-
   // Points a random live op at a random splittable op, making it an anchor.
-  void Colocate() {
-    const OpId target = RandomLiveOp();
-    if (!Splittable(target)) return;
-    const OpId follower = RandomLiveOp();
-    if (follower != target) g_.SetColocateWith(follower, target);
+  void Colocate(Tracked& t) {
+    const OpId target = RandomLiveOp(t.graph);
+    if (!Splittable(t.graph, target)) return;
+    const OpId follower = RandomLiveOp(t.graph);
+    if (follower != target) Do(t, {Edit::Kind::kColocate, follower, target});
   }
 
-  Graph& g_;
+  std::function<Graph()> build_;
   Rng rng_;
+  size_t max_copies_;
+  Tracked root_;
+  std::vector<std::unique_ptr<Tracked>> copies_;
+  std::set<std::string> names_;
   int splits_ = 0;
   int anchor_splits_ = 0;
   int resplits_ = 0;
   int undos_ = 0;
   int commits_ = 0;
+  int copies_in_marks_ = 0;
+  int copies_outside_marks_ = 0;
+  int copy_edits_ = 0;
+  int copy_undos_ = 0;
 };
+
+std::function<Graph()> DataParallelBuild(const char* model, int64_t batch,
+                                         int replicas) {
+  return [model, batch, replicas] {
+    const ModelSpec& spec = FindModel(model);
+    return BuildDataParallel(spec.build, spec.name, batch, replicas,
+                             Scaling::kStrong)
+        .graph;
+  };
+}
 
 TEST(GraphJournal, UndoRestoresSmallZooGraphs) {
   int splits = 0, anchor_splits = 0, resplits = 0, undos = 0, commits = 0;
+  int copies_in_marks = 0, copies_outside_marks = 0, copy_edits = 0,
+      copy_undos = 0, multi_chunk = 0;
   for (const char* model : {"lenet", "alexnet", "rnnlm"}) {
-    const ModelSpec& spec = FindModel(model);
     for (int replicas : {1, 2}) {
-      DataParallelGraph dp = BuildDataParallel(spec.build, spec.name, 32,
-                                               replicas, Scaling::kStrong);
-      const Graph original = dp.graph;
+      const auto build = DataParallelBuild(model, 32, replicas);
       for (uint64_t seed = 1; seed <= 6; ++seed) {
-        JournalFuzzer fuzz(dp.graph, seed * 1000 + replicas);
+        JournalFuzzer fuzz(build, seed * 1000 + replicas, 3);
+        const auto slots = static_cast<uint32_t>(fuzz.graph().num_slots());
+        multi_chunk += slots > Graph::kChunkSlots ? 1 : 0;
         fuzz.MarkEditUndo(12, 0, 2);
         if (HasFatalFailure()) return;
+        ExpectSameGraph(build(), fuzz.graph(), {});
         splits += fuzz.splits();
         anchor_splits += fuzz.anchor_splits();
         resplits += fuzz.resplits();
         undos += fuzz.undos();
         commits += fuzz.commits();
+        copies_in_marks += fuzz.copies_in_marks();
+        copies_outside_marks += fuzz.copies_outside_marks();
+        copy_edits += fuzz.copy_edits();
+        copy_undos += fuzz.copy_undos();
       }
-      ExpectSameGraph(original, dp.graph, {});
     }
   }
-  // The sweep reaches every case the journal has to get right.
+  // The sweep reaches every case the journal and the shared storage have to
+  // get right.
   EXPECT_GT(splits, 100);
   EXPECT_GT(anchor_splits, 5);
   EXPECT_GT(resplits, 5);
   EXPECT_GT(undos, 40);
   EXPECT_GT(commits, 5);
+  EXPECT_GT(copies_in_marks, 20);
+  EXPECT_GT(copies_outside_marks, 20);
+  EXPECT_GT(copy_edits, 100);
+  EXPECT_GT(copy_undos, 5);
+  EXPECT_GT(multi_chunk, 5);
 }
 
 TEST(GraphJournal, UndoRestoresBertLarge8WayDataParallelGraph) {
-  const ModelSpec& spec = FindModel("bert_large");
-  DataParallelGraph dp =
-      BuildDataParallel(spec.build, spec.name, 16, 8, Scaling::kStrong);
-  JournalFuzzer fuzz(dp.graph, 7);
+  JournalFuzzer fuzz(DataParallelBuild("bert_large", 16, 8), 7, 1);
   fuzz.MarkEditUndo(8, 0, 1);
   EXPECT_GT(fuzz.splits(), 2);
 }

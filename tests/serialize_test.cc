@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "core/dpos.h"
 #include "core/strategy_io.h"
@@ -51,6 +54,29 @@ TEST(GraphSerialize, RoundTripsSmallGraph) {
   EXPECT_EQ(cb.colocate_with, ia);
   ASSERT_EQ(copy.Succs(ia), std::vector<OpId>{ib});
   for (EdgeId e : copy.out_edges(ia)) EXPECT_EQ(copy.edge(e).bytes, 4096);
+}
+
+TEST(GraphSerialize, RejectsShapeRankAboveInlineCapacity) {
+  // Shapes hold their dims inline, up to TensorShape::kMaxRank of them.
+  ASSERT_EQ(TensorShape::kMaxRank, 4);
+  EXPECT_NO_THROW(TensorShape({1, 2, 3, 4}));
+  EXPECT_THROW(TensorShape({1, 2, 3, 4, 5}), std::logic_error);
+  const std::vector<int64_t> five = {1, 2, 3, 4, 5};
+  EXPECT_THROW(TensorShape{std::span<const int64_t>(five)}, std::logic_error);
+
+  Graph g("wide");
+  Operation a;
+  a.name = "a";
+  a.output_shape = TensorShape{1, 2, 3, 4};
+  g.AddOp(std::move(a));
+  std::string text = SerializeGraph(g);
+  EXPECT_EQ(DeserializeGraph(text).op(0).output_shape,
+            TensorShape({1, 2, 3, 4}));
+  const std::string dims = " dims 1 2 3 4";
+  const size_t at = text.find(dims);
+  ASSERT_NE(at, std::string::npos);
+  text.insert(at + dims.size(), " 5");
+  EXPECT_THROW(DeserializeGraph(text), std::logic_error);
 }
 
 TEST(GraphSerialize, PreservesDeadSlotsAndIds) {
