@@ -177,7 +177,7 @@ PortfolioResult PortfolioSearch(const std::vector<ArenaSearcher>& searchers,
                                 const PortfolioOptions& options = {});
 
 // {"fastt_arena":1, "model":..., "searchers":[...], "winner":...} — the
-// machine-readable arena table (`fastt arena --json`, CI artifact).
+// machine-readable arena table (`--report`'s `arena` section, CI artifact).
 std::string PortfolioToJson(const std::string& model_name, int64_t batch,
                             const Cluster& cluster,
                             const PortfolioResult& result);

@@ -1,5 +1,5 @@
 // Build provenance, stamped into every JSON artifact the CLI can emit
-// (fastt-bench/1, fastt-report/1, fastt-prof/1, fastt-blackbox/1) and
+// (fastt-bench/1, fastt-report/1, fastt-prof/1) and
 // printed by `fastt --version`. A profile or bench report without the sha
 // and flags it was built from can't be compared to anything; with them,
 // artifacts from different checkouts and build types are self-describing.

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <limits>
 
-#include "obs/event_log.h"
 #include "obs/json.h"
 #include "util/memtrack.h"
 #include "util/stats.h"
@@ -297,23 +295,6 @@ std::string MetricsRegistry::ToJson() const {
   return w.str();
 }
 
-std::string MetricsToJson(const MetricsRegistry& registry,
-                          const EventLog* events) {
-  // Splice the registry object and the event array into one document. The
-  // registry JSON always ends in '}', so insert before it.
-  std::string doc = registry.ToJson();
-  if (events != nullptr) {
-    std::string tail = ",\"events\":[";
-    for (size_t i = 0; i < events->size(); ++i) {
-      if (i > 0) tail += ',';
-      tail += events->line(i);
-    }
-    tail += "]";
-    doc.insert(doc.size() - 1, tail);
-  }
-  return doc;
-}
-
 void PublishSearchPoolMetrics(MetricsRegistry& registry) {
   const PoolStats stats = SearchPoolStats();
   registry.SetGauge("pool/jobs", stats.jobs);
@@ -388,14 +369,6 @@ void PublishMemMetrics(MetricsRegistry& registry) {
   registry.SetGauge("mem/total/peak_bytes",
                     static_cast<double>(mt.total_peak_bytes()));
   registry.SetGauge("mem/total/allocs", static_cast<double>(mt.total_allocs()));
-}
-
-bool WriteMetricsJson(const std::string& path, const MetricsRegistry& registry,
-                      const EventLog* events) {
-  std::ofstream file(path);
-  if (!file) return false;
-  file << MetricsToJson(registry, events) << "\n";
-  return static_cast<bool>(file);
 }
 
 }  // namespace fastt

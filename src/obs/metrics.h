@@ -18,7 +18,7 @@
 //   MetricsRegistry::Global().AddCounter("dpos/invocations");
 //   { FASTT_SCOPED_TIMER("dpos/total"); ... }
 //   MetricsRegistry::Global().RecordHistogram("osdpos/trial_latency_s", dt);
-//   WriteMetricsJson("out.json", MetricsRegistry::Global());
+//   const std::string json = MetricsRegistry::Global().ToJson();
 #pragma once
 
 #include <atomic>
@@ -34,7 +34,6 @@
 
 namespace fastt {
 
-class EventLog;
 struct JsonValue;
 
 // ---- Histogram ------------------------------------------------------------
@@ -153,8 +152,8 @@ class MetricsRegistry {
   // handle — erasing nodes here would dangle it.
   void Reset();
 
-  // Point-in-time copy of everything, for exporters (OpenMetrics, reports)
-  // that need structured values rather than the JSON string.
+  // Point-in-time copy of everything, for readers that need structured
+  // values rather than the JSON string.
   struct TimerSnapshot {
     int64_t count = 0;
     double total_s = 0.0;
@@ -295,15 +294,6 @@ class ScopedLatencyRef {
   MetricsRegistry::HistogramHandle handle_;
   std::chrono::steady_clock::time_point start_;
 };
-
-// Full metrics document: the registry plus (optionally) a structured event
-// log under "events" — what `fastt run --metrics out.json` writes.
-std::string MetricsToJson(const MetricsRegistry& registry,
-                          const EventLog* events = nullptr);
-
-// Writes MetricsToJson to `path`. Returns false on I/O failure.
-bool WriteMetricsJson(const std::string& path, const MetricsRegistry& registry,
-                      const EventLog* events = nullptr);
 
 // Copies the search thread-pool's occupancy counters (SearchPoolStats) into
 // `registry` as gauges: pool/jobs, pool/batches, pool/tasks,

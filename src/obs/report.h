@@ -1,8 +1,7 @@
 // fastt-report/1: one JSON document bundling everything a run's telemetry
 // produced — metrics, event log, trace phase self-times, and any
-// command-specific sections (calibration, verifier summary, memstat
-// phases) — so a whole run travels as a single artifact instead of five
-// separately-flagged files.
+// command-specific sections (analysis, calibration, verifier summary, heap
+// rollup, CPU profile) — so a whole run travels as a single artifact.
 //
 // Every CLI command emits one via `--report <file>`; `fastt report` runs
 // the full instrumented workflow inside a fresh TelemetryContext and

@@ -1,7 +1,7 @@
 // Turns a Tracer drain into artifacts: a Chrome-trace JSON timeline (same
 // format src/sim/trace emits for the simulated schedule, so both load in
 // Perfetto side by side) and an aggregate phase/self-time summary for the
-// `fastt search-profile` report.
+// `fastt report` phase table.
 #pragma once
 
 #include <string>

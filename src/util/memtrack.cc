@@ -67,14 +67,6 @@ void MemTracker::Reset() {
   total_peak_.store(0, std::memory_order_relaxed);
 }
 
-void MemTracker::ResetPeaks() {
-  for (TagCell& c : cells_)
-    c.peak.store(c.live.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-  total_peak_.store(total_live_.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-}
-
 void MemTracker::RecordAllocSlow(MemTag tag, size_t bytes) {
   TagCell& c = cells_[static_cast<size_t>(tag)];
   const int64_t b = static_cast<int64_t>(bytes);

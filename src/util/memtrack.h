@@ -89,9 +89,6 @@ class MemTracker {
 
   // Zeroes everything without changing the enabled flag.
   void Reset();
-  // Collapses every tag's peak to its current live value — memstat uses
-  // this to measure per-phase high-water marks.
-  void ResetPeaks();
 
   // Hot path. No-ops when disabled.
   void RecordAlloc(MemTag tag, size_t bytes) {
@@ -217,7 +214,8 @@ void ReserveExact(TaggedVector<T>& v, size_t n) {
 // Emits one live-bytes counter sample per active tag (plus the total) into
 // the search flight recorder, as "mem/<tag>/live_bytes" tracks. No-op
 // unless both the tracker and the tracer are enabled; subsystem entry/exit
-// points call this so `fastt search-profile` shows memory next to time.
+// points call this so `fastt report --trace-search` shows memory next to
+// time.
 void EmitMemTraceCounters();
 
 }  // namespace fastt

@@ -101,7 +101,7 @@ void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
 
 // Cumulative occupancy of the shared search pool: the live pool's counters
 // plus those of pools retired by SetSearchJobs. jobs reflects the current
-// setting. Exposed via --metrics by obs::PublishSearchPoolMetrics.
+// setting. Exposed in --report bundles by obs::PublishSearchPoolMetrics.
 PoolStats SearchPoolStats();
 
 }  // namespace fastt

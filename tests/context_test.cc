@@ -2,28 +2,18 @@
 // test is the tentpole of the observability layer — two contexts running
 // interleaved searches on different threads must each collect exactly the
 // telemetry a serial run would, the thread pool must propagate the
-// submitter's ambient bindings to its workers, nested scopes must restore,
-// and an aborted process must leave a readable fastt-blackbox/1 dump.
+// submitter's ambient bindings to its workers, and nested scopes must
+// restore.
 #include <gtest/gtest.h>
 
-#include <csignal>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <thread>
-
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include "core/os_dpos.h"
 #include "core/strategy_io.h"
 #include "models/model_zoo.h"
-#include "obs/blackbox.h"
 #include "obs/context.h"
-#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "sim/exec_sim.h"
@@ -220,83 +210,6 @@ TEST(TelemetryContextTest, InterleavedSearchesMatchSerialByteForByte) {
   // And the two contexts saw different work, so identical outcomes are not
   // vacuous.
   EXPECT_NE(serial1.counters, serial2.counters);
-}
-
-// A deliberately aborted process leaves a fastt-blackbox/1 dump carrying
-// the final trace spans, events and metrics of its ambient context. The
-// abort happens in a forked child so the dump and the death are both
-// observable from the test.
-TEST(BlackboxTest, AbortedProcessLeavesReadableDump) {
-  const std::string path = ::testing::TempDir() + "fastt_blackbox_test.json";
-  std::remove(path.c_str());
-
-  const pid_t pid = fork();
-  ASSERT_NE(pid, -1);
-  if (pid == 0) {
-    // Child: arm the black-box inside a fresh context, record telemetry,
-    // then die the way a CHECK failure does. No threads are created here,
-    // so forking from the (single-threaded at ctest granularity) parent is
-    // safe under every sanitizer.
-    TelemetryContext context;
-    TelemetryScope scope(context);
-    InstallBlackbox(path);
-    context.tracer().SetCurrentThreadName("doomed");
-    context.tracer().Enable();
-    {
-      FASTT_TRACE_SPAN("search/total");
-      FASTT_TRACE_SPAN("osdpos/probe_op");
-      CurrentEventLog().Emit("probe").Int("op", 7);
-    }
-    CurrentMetrics().AddCounter("dpos/invocations", 3);
-    std::abort();
-  }
-
-  int status = 0;
-  ASSERT_EQ(waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFSIGNALED(status));
-  EXPECT_EQ(WTERMSIG(status), SIGABRT);
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "no black-box dump at " << path;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  JsonValue doc;
-  std::string error;
-  ASSERT_TRUE(JsonParse(buffer.str(), &doc, &error)) << error;
-
-  const JsonValue* schema = doc.Find("schema");
-  ASSERT_NE(schema, nullptr);
-  EXPECT_EQ(schema->StringOr(""), "fastt-blackbox/1");
-  const JsonValue* reason = doc.Find("reason");
-  ASSERT_NE(reason, nullptr);
-  EXPECT_EQ(reason->StringOr(""), "SIGABRT");
-
-  const JsonValue* trace = doc.Find("trace");
-  ASSERT_NE(trace, nullptr);
-  const JsonValue* spans = trace->Find("spans");
-  ASSERT_NE(spans, nullptr);
-  ASSERT_TRUE(spans->is_array());
-  EXPECT_EQ(spans->items.size(), 2u);
-  bool saw_total = false;
-  for (const JsonValue& span : spans->items) {
-    const JsonValue* name = span.Find("name");
-    ASSERT_NE(name, nullptr);
-    if (name->StringOr("") == "search/total") saw_total = true;
-  }
-  EXPECT_TRUE(saw_total);
-
-  const JsonValue* events = doc.Find("events");
-  ASSERT_NE(events, nullptr);
-  ASSERT_TRUE(events->is_array());
-  EXPECT_EQ(events->items.size(), 1u);
-
-  const JsonValue* metrics = doc.Find("metrics");
-  ASSERT_NE(metrics, nullptr);
-  const JsonValue* counters = metrics->Find("counters");
-  ASSERT_NE(counters, nullptr);
-  const JsonValue* invocations = counters->Find("dpos/invocations");
-  ASSERT_NE(invocations, nullptr);
-  EXPECT_EQ(invocations->IntOr(0), 3);
 }
 
 }  // namespace

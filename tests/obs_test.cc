@@ -19,7 +19,6 @@
 #include "obs/json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/openmetrics.h"
 #include "obs/report.h"
 #include "obs/schedule_analysis.h"
 #include "obs/trace_export.h"
@@ -247,12 +246,6 @@ TEST(Metrics, JsonExportIsValid) {
   r.RecordTimer("sim/simulate", 0.002);
   EXPECT_TRUE(JsonValidate(r.ToJson()));
   EXPECT_NE(r.ToJson().find("\"dpos/invocations\":3"), std::string::npos);
-
-  EventLog events;
-  events.Emit("round").Int("round", 1).Bool("committed", true);
-  const std::string doc = MetricsToJson(r, &events);
-  EXPECT_TRUE(JsonValidate(doc));
-  EXPECT_NE(doc.find("\"events\""), std::string::npos);
 }
 
 TEST(Metrics, PublishSearchPoolMetricsExportsGauges) {
@@ -741,44 +734,6 @@ TEST(Log, MessagesLandInAmbientEventLog) {
   const JsonValue* msg = event.Find("msg");
   ASSERT_NE(msg, nullptr);
   EXPECT_EQ(msg->StringOr(""), "round 3 drifted 12.5%");
-}
-
-// ---- OpenMetrics exposition ----------------------------------------------
-
-TEST(OpenMetrics, NameSanitizationAndPrefix) {
-  EXPECT_EQ(OpenMetricsName("dpos/latency_s"), "fastt_dpos_latency_s");
-  EXPECT_EQ(OpenMetricsName("pool.queue-wait"), "fastt_pool_queue_wait");
-  EXPECT_EQ(OpenMetricsName("already_ok:x9"), "fastt_already_ok:x9");
-}
-
-TEST(OpenMetrics, ExpositionCoversEveryMetricKindAndEndsWithEof) {
-  MetricsRegistry registry;
-  registry.AddCounter("dpos/invocations", 3);
-  registry.SetGauge("pool/jobs", 2.0);
-  registry.RecordTimer("dpos/total", 0.5);
-  registry.RecordTimer("dpos/total", 1.5);
-  registry.RecordHistogram("osdpos/trial_latency_s", 0.001);
-  registry.RecordHistogram("osdpos/trial_latency_s", 0.002);
-  const std::string text = OpenMetricsText(registry);
-
-  EXPECT_NE(text.find("# TYPE fastt_dpos_invocations counter\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("fastt_dpos_invocations_total 3\n"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE fastt_pool_jobs gauge\n"), std::string::npos);
-  EXPECT_NE(text.find("fastt_pool_jobs 2\n"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE fastt_dpos_total summary\n"), std::string::npos);
-  EXPECT_NE(text.find("fastt_dpos_total_count 2\n"), std::string::npos);
-  EXPECT_NE(text.find("fastt_dpos_total_sum 2\n"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE fastt_osdpos_trial_latency_s histogram\n"),
-            std::string::npos);
-  // The mandatory +Inf bucket equals the observation count, and the series
-  // carries _sum and _count.
-  EXPECT_NE(text.find("fastt_osdpos_trial_latency_s_bucket{le=\"+Inf\"} 2\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("fastt_osdpos_trial_latency_s_count 2\n"),
-            std::string::npos);
-  ASSERT_GE(text.size(), 6u);
-  EXPECT_EQ(text.substr(text.size() - 6), "# EOF\n");
 }
 
 // ---- fastt-report/1 bundles ----------------------------------------------

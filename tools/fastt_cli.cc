@@ -12,7 +12,7 @@
 //   fastt trace <model> <trace.json> [--gpus N]
 //       Run FastT and dump the final schedule as a Chrome trace (with flow
 //       arrows for tensor transfers and per-device memory counter tracks).
-//   fastt analyze <model> [--gpus N] [--servers S] [--batch B] [--json F]
+//   fastt analyze <model> [--gpus N] [--servers S] [--batch B]
 //       Run FastT and report the realized critical path, per-device
 //       utilization/bubble breakdown, top critical ops/transfers, link
 //       traffic and the per-round cost-model calibration summary.
@@ -21,29 +21,20 @@
 //       op whose name contains <name>, the candidate devices DPOS scored,
 //       the chosen device with its reason code, the split trials probed and
 //       predicted-vs-realized execution time.
-//   fastt calibrate <model> [--gpus N] [--batch B] [--json F]
+//   fastt calibrate <model> [--gpus N] [--batch B]
 //       Run FastT and report how wrong the cost models were each
 //       pre-training round: per-op/per-transfer residual histograms,
 //       comm-regression drift and rollback post-mortems.
-//   fastt search-profile <model> [trace.json] [--gpus N] [--jobs N]
-//       Run the OS-DPOS search under the flight recorder and report where
-//       its wall-clock went: a phase/self-time table, worker occupancy and
-//       queue-wait stats, optionally the raw Chrome trace of the search
-//       (with mem/<tag>/live_bytes counter tracks from the heap telemetry).
-//   fastt memstat <model> [--gpus N] [--batch B] [--jobs N] [--json F]
-//       Run one pre-training round under the tagged heap tracker and report
-//       per-phase, per-subsystem host-heap peaks, live bytes and allocation
-//       counts (graph build, bootstrap profile, OS-DPOS search, final sim).
 //   fastt bench-diff <old.json> <new.json> [--threshold T] [--min-repeats R]
 //       Compare two fastt-bench/1 reports (FASTT_BENCH_JSON output).
 //       Exits nonzero on a hard regression — the CI gate.
-//   fastt verify <model> [--strategy f] [--gpus N] [--batch B] [--json F]
+//   fastt verify <model> [--strategy f] [--gpus N] [--batch B]
 //       Run the full strategy verifier (analysis/verifier.h rule catalog)
 //       over a strategy for <model>: with --strategy, a serialized strategy
 //       file whose split list is re-applied to the base graph; without, the
 //       strategy a pre-training round would compute (bootstrap profile +
 //       OS-DPOS). Exits nonzero when any error-severity rule fires.
-//   fastt arena <model> [--gpus N] [--batch B] [--budget-ms T] [--json F]
+//   fastt arena <model> [--gpus N] [--batch B] [--budget-ms T]
 //       Race every registered searcher (FastT's DPOS pipeline, the Fig. 3
 //       black-box stand-ins, and the published-rival schedulers) on the
 //       shared search pool under a wall-clock budget, verify every
@@ -53,35 +44,32 @@
 //
 //   fastt report <model> [report.json] [--gpus N] [--batch B] [--jobs N]
 //       Run the full FastT workflow inside a fresh TelemetryContext with the
-//       tracer, heap tracker and sampling CPU profiler on, print the top
-//       CPU frames, and write the richest fastt-report/1 bundle: metrics,
-//       workflow events, calibration, verifier summary, memstat totals,
-//       trace phase self-times and the CPU profile in one JSON document.
+//       tracer, heap tracker and sampling CPU profiler on, print the search
+//       phase self-time table and the top CPU frames, and write the richest
+//       fastt-report/1 bundle: metrics, workflow events, calibration,
+//       verifier summary, memstat totals, trace phase self-times and the CPU
+//       profile in one JSON document. With --trace-search the same trace is
+//       also written as a Chrome trace, with mem/<tag>/live_bytes counter
+//       tracks next to the spans.
 //
 // Every command also accepts `--jobs N` (or FASTT_JOBS=N) to parallelize the
 // strategy search across N threads — the computed strategy is bit-identical
-// to --jobs 1 — plus the global artifact/diagnostic flags:
-//   --metrics <out.json>      dump the metrics registry (counters, timers,
-//                             gauges — plus the round-by-round workflow event
-//                             log for run/analyze) on exit
+// to --jobs 1 — plus the global flags:
 //   --report <out.json>       one fastt-report/1 bundle of whatever the
-//                             command ran (metrics + events + command section)
-//   --openmetrics <out.txt>   OpenMetrics/Prometheus text exposition of the
-//                             metrics registry on exit
-//   --blackbox <out.json>     arm the crash black-box: fatal signals and
-//                             std::terminate dump a fastt-blackbox/1 file
+//                             command ran: metrics, events and the command's
+//                             own section (analysis, provenance,
+//                             calibration, verify or arena)
 //   --log-level <level>       error|warn|info|debug (or FASTT_LOG_LEVEL)
-//   --trace-search <out.json> (or FASTT_TRACE_SEARCH=path) records the
-//                             strategy search itself as a Chrome trace
+//   --trace-search <out.json> records the strategy search itself as a
+//                             Chrome trace
 //
 // An argument the CLI cannot place (an unknown flag, a flag without its
 // value, a malformed number, a third positional) and a cluster, batch or
-// jobs value it cannot honour print one line and exit 2.
+// jobs value it cannot honour print one line and exit 2. A run that fails
+// verification or cannot write its output exits 1.
 #include <charconv>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -100,14 +88,12 @@
 #include "graph/serialize.h"
 #include "models/model_zoo.h"
 #include "obs/bench_history.h"
-#include "obs/blackbox.h"
 #include "obs/build_info.h"
 #include "obs/calibration.h"
 #include "obs/context.h"
 #include "obs/json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/openmetrics.h"
 #include "obs/prof_export.h"
 #include "obs/profiler.h"
 #include "obs/report.h"
@@ -133,12 +119,8 @@ struct Args {
   std::string path;
   std::string op;            // --op: op-name filter for `fastt explain`
   std::string strategy_path;  // --strategy: serialized strategy for `verify`
-  std::string metrics_path;  // --metrics: dump the metrics registry here
-  std::string json_path;     // --json: machine-readable analysis output
   std::string report_path;   // --report: fastt-report/1 bundle
-  std::string openmetrics_path;  // --openmetrics: Prometheus exposition
-  std::string blackbox_path;     // --blackbox: arm the crash black-box
-  std::string log_level;         // --log-level: error|warn|info|debug
+  std::string log_level;     // --log-level: error|warn|info|debug
   std::string trace_search_path;  // --trace-search: search Chrome trace
   int gpus = 4;
   int servers = 1;
@@ -169,11 +151,7 @@ std::string Parse(int argc, char** argv, Args* args) {
   const std::pair<const char*, std::string*> text_flags[] = {
       {"--op", &args->op},
       {"--strategy", &args->strategy_path},
-      {"--metrics", &args->metrics_path},
-      {"--json", &args->json_path},
       {"--report", &args->report_path},
-      {"--openmetrics", &args->openmetrics_path},
-      {"--blackbox", &args->blackbox_path},
       {"--log-level", &args->log_level},
       {"--trace-search", &args->trace_search_path},
   };
@@ -270,46 +248,31 @@ Cluster MakeCluster(const Args& args) {
 // when --report was given (the JSON renders can be sizable).
 using ReportSections = std::vector<std::pair<std::string, std::string>>;
 
-// Shared artifact epilogue honoring the global --metrics, --openmetrics and
-// --report flags; `events` (may be null) is the workflow event log of
-// whatever the command just ran. Reads the ambient registry so a command
-// that ran under a TelemetryScope exports that context's metrics.
-void WriteRunArtifacts(const Args& args, const EventLog* events,
-                       const ReportSections& sections = {}) {
-  if (args.metrics_path.empty() && args.openmetrics_path.empty() &&
-      args.report_path.empty())
-    return;
+// Shared artifact epilogue honoring the global --report flag; `events` (may
+// be null) is the workflow event log of whatever the command just ran.
+// Reads the ambient registry so a command that ran under a TelemetryScope
+// exports that context's metrics. Returns the command's exit code `rc`, or
+// 1 when the report cannot be written.
+int WriteRunArtifacts(const Args& args, int rc, const EventLog* events,
+                      const ReportSections& sections = {}) {
+  if (args.report_path.empty()) return rc;
   MetricsRegistry& metrics = CurrentMetrics();
   PublishSearchPoolMetrics(metrics);
   PublishMemMetrics(metrics);
-  if (!args.metrics_path.empty()) {
-    if (WriteMetricsJson(args.metrics_path, metrics, events))
-      std::printf("wrote metrics to %s\n", args.metrics_path.c_str());
-    else
-      std::fprintf(stderr, "cannot write %s\n", args.metrics_path.c_str());
+  RunReport report(args.command, args.model);
+  report.SetParam("gpus", args.gpus);
+  report.SetParam("servers", args.servers);
+  if (args.batch > 0) report.SetParam("batch", args.batch);
+  report.SetParam("jobs", SearchJobs());
+  report.SetMetrics(metrics);
+  if (events != nullptr) report.SetEvents(*events);
+  for (const auto& [key, json] : sections) report.AddSection(key, json);
+  if (!report.Write(args.report_path)) {
+    std::fprintf(stderr, "cannot write %s\n", args.report_path.c_str());
+    return rc != 0 ? rc : 1;
   }
-  if (!args.openmetrics_path.empty()) {
-    if (WriteOpenMetrics(args.openmetrics_path, metrics))
-      std::printf("wrote OpenMetrics exposition to %s\n",
-                  args.openmetrics_path.c_str());
-    else
-      std::fprintf(stderr, "cannot write %s\n",
-                   args.openmetrics_path.c_str());
-  }
-  if (!args.report_path.empty()) {
-    RunReport report(args.command, args.model);
-    report.SetParam("gpus", args.gpus);
-    report.SetParam("servers", args.servers);
-    if (args.batch > 0) report.SetParam("batch", args.batch);
-    report.SetParam("jobs", SearchJobs());
-    report.SetMetrics(metrics);
-    if (events != nullptr) report.SetEvents(*events);
-    for (const auto& [key, json] : sections) report.AddSection(key, json);
-    if (report.Write(args.report_path))
-      std::printf("wrote run report to %s\n", args.report_path.c_str());
-    else
-      std::fprintf(stderr, "cannot write %s\n", args.report_path.c_str());
-  }
+  std::printf("wrote run report to %s\n", args.report_path.c_str());
+  return rc;
 }
 
 // Model lookup with the CLI's actionable error message; commands return 2
@@ -390,8 +353,7 @@ int CmdRun(const Args& args) {
   if (!args.report_path.empty() && !ft.calibration.empty())
     sections.push_back(
         {"calibration", CalibrationToJson(spec.name, ft.calibration)});
-  WriteRunArtifacts(args, &ft.events, sections);
-  return 0;
+  return WriteRunArtifacts(args, 0, &ft.events, sections);
 }
 
 int CmdAnalyze(const Args& args) {
@@ -414,20 +376,10 @@ int CmdAnalyze(const Args& args) {
                 "for the full audit):\n");
     std::fputs(RenderCalibrationSummary(ft.calibration).c_str(), stdout);
   }
-  if (!args.json_path.empty()) {
-    std::ofstream out(args.json_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", args.json_path.c_str());
-      return 1;
-    }
-    out << ScheduleAnalysisToJson(ft.graph, analysis) << "\n";
-    std::printf("\nwrote analysis JSON to %s\n", args.json_path.c_str());
-  }
   ReportSections sections;
   if (!args.report_path.empty())
     sections.push_back({"analysis", ScheduleAnalysisToJson(ft.graph, analysis)});
-  WriteRunArtifacts(args, &ft.events, sections);
-  return 0;
+  return WriteRunArtifacts(args, 0, &ft.events, sections);
 }
 
 int CmdCompare(const Args& args) {
@@ -522,303 +474,7 @@ int CmdTrace(const Args& args) {
   }
   std::printf("wrote %s — load in chrome://tracing or Perfetto\n",
               args.path.c_str());
-  WriteRunArtifacts(args, &ft.events);
-  return 0;
-}
-
-int CmdSearchProfile(const Args& args) {
-  const ModelSpec* specp = RequireModel(args.model);
-  if (specp == nullptr) return 2;
-  const ModelSpec& spec = *specp;
-  const int64_t batch = args.batch > 0 ? args.batch : spec.strong_batch;
-  const Cluster cluster = MakeCluster(args);
-
-  // Same setup as bench_search: a data-parallel bootstrap placement is
-  // simulated once and profiled, so OS-DPOS runs against realistic cost
-  // models — the search being profiled is the one `fastt run` would do each
-  // pre-training round.
-  auto dp = BuildDataParallel(spec.build, spec.name, batch,
-                              cluster.num_devices(), args.scaling);
-  const std::vector<DeviceId> placement = CanonicalDataParallelPlacement(dp);
-  const Graph graph = std::move(dp.graph);
-  SimOptions so;
-  so.noise_cv = 0.03;
-  so.seed = 11;
-  const RunProfile profile =
-      ExtractProfile(graph, Simulate(graph, placement, cluster, so));
-  CompCostModel comp;
-  CommCostModel comm;
-  comp.AddProfile(profile);
-  comm.AddProfile(profile);
-
-  std::printf("search-profile: %s, batch %lld, %s, %d jobs\n",
-              spec.name.c_str(), (long long)batch, cluster.ToString().c_str(),
-              SearchJobs());
-
-  // Heap telemetry rides along: with both the tracker and the tracer on,
-  // the subsystem entry points emit mem/<tag>/live_bytes counter tracks
-  // into the same trace, so memory shows up next to time in Perfetto.
-  MemTracker& mem = MemTracker::Global();
-  mem.Enable();
-  Tracer& tracer = Tracer::Global();
-  tracer.SetCurrentThreadName("search main");
-  tracer.Enable();
-  const auto t0 = std::chrono::steady_clock::now();
-  int probes = 0;
-  size_t splits = 0;
-  double makespan = 0.0;
-  {
-    FASTT_TRACE_SPAN("search/total");
-    const OsDposResult os = OsDpos(graph, cluster, comp, comm);
-    probes = os.probes;
-    splits = os.splits.size();
-    makespan = os.schedule.ft_exit;
-  }
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  tracer.Disable();
-  const TraceDump dump = tracer.Drain();
-  const TraceSummary summary = SummarizeTrace(dump);
-
-  std::printf("OS-DPOS: %d split probes, %zu splits committed, predicted "
-              "makespan %.3f ms\n\n",
-              probes, splits, makespan * 1e3);
-  std::fputs(RenderTraceSummary(summary).c_str(), stdout);
-
-  double traced_s = 0.0;
-  for (const TracePhase& p : summary.phases)
-    if (p.name == "search/total") traced_s = p.total_s;
-  std::printf("span tree covers %.1f%% of the measured %.4f s search "
-              "wall-clock\n",
-              wall_s > 0.0 ? 100.0 * traced_s / wall_s : 0.0, wall_s);
-
-  const PoolStats pool = SearchPoolStats();
-  if (pool.tasks > 0) {
-    const double wait_s = static_cast<double>(pool.queue_wait_ns) * 1e-9;
-    std::printf("pool: %d jobs, %llu batches, %llu worker tasks, queue wait "
-                "%.3f ms total (%.1f us/task)\n",
-                pool.jobs, (unsigned long long)pool.batches,
-                (unsigned long long)pool.tasks, wait_s * 1e3,
-                pool.tasks > 0 ? wait_s * 1e6 / double(pool.tasks) : 0.0);
-  }
-
-  const MemTagStats g_mem = mem.stats(MemTag::kGraph);
-  const MemTagStats s_mem = mem.stats(MemTag::kSimEvents);
-  const MemTagStats d_mem = mem.stats(MemTag::kDpos);
-  std::printf("memory: total peak %s (%lld allocs) — graph peak %s, "
-              "sim/events peak %s, dpos peak %s; see `fastt memstat`\n",
-              HumanBytes(static_cast<double>(mem.total_peak_bytes())).c_str(),
-              (long long)mem.total_allocs(),
-              HumanBytes(static_cast<double>(g_mem.peak_bytes)).c_str(),
-              HumanBytes(static_cast<double>(s_mem.peak_bytes)).c_str(),
-              HumanBytes(static_cast<double>(d_mem.peak_bytes)).c_str());
-  mem.Disable();
-
-  const std::string out_path =
-      !args.path.empty() ? args.path : args.trace_search_path;
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    out << TraceToChromeJson(dump) << "\n";
-    std::printf("wrote search trace to %s — load in chrome://tracing or "
-                "Perfetto\n",
-                out_path.c_str());
-  }
-  WriteRunArtifacts(args, nullptr);
-  return 0;
-}
-
-int CmdMemstat(const Args& args) {
-  const ModelSpec* specp = RequireModel(args.model);
-  if (specp == nullptr) return 2;
-  const ModelSpec& spec = *specp;
-  const int64_t batch = args.batch > 0 ? args.batch : spec.strong_batch;
-  const Cluster cluster = MakeCluster(args);
-  std::printf("memstat: %s, batch %lld, %s, %d jobs\n\n", spec.name.c_str(),
-              (long long)batch, cluster.ToString().c_str(), SearchJobs());
-
-  MemTracker& mem = MemTracker::Global();
-  mem.Enable();
-
-  // One pre-training round, split into its phases. Peaks are reset at each
-  // phase boundary, so a phase's peak_bytes is its own high-water mark (on
-  // top of whatever the previous phases left live).
-  struct Phase {
-    std::string name;
-    std::vector<MemTagStats> before;
-    std::vector<MemTagStats> after;
-    int64_t total_peak = 0;
-    int64_t total_live = 0;
-  };
-  std::vector<Phase> phases;
-  auto run_phase = [&](const char* name, auto&& body) {
-    Phase p;
-    p.name = name;
-    mem.ResetPeaks();
-    p.before = mem.Snapshot();
-    body();
-    p.after = mem.Snapshot();
-    p.total_peak = mem.total_peak_bytes();
-    p.total_live = mem.total_live_bytes();
-    phases.push_back(std::move(p));
-  };
-
-  Graph graph;
-  std::vector<DeviceId> placement;
-  CompCostModel comp;
-  CommCostModel comm;
-  OsDposResult os;
-  run_phase("graph/build", [&] {
-    auto dp = BuildDataParallel(spec.build, spec.name, batch,
-                                cluster.num_devices(), args.scaling);
-    placement = CanonicalDataParallelPlacement(dp);
-    graph = std::move(dp.graph);
-  });
-  run_phase("profile", [&] {
-    SimOptions so;
-    so.noise_cv = 0.03;
-    so.seed = 11;
-    const RunProfile profile =
-        ExtractProfile(graph, Simulate(graph, placement, cluster, so));
-    comp.AddProfile(profile);
-    comm.AddProfile(profile);
-  });
-  run_phase("search", [&] { os = OsDpos(graph, cluster, comp, comm); });
-  run_phase("final-sim", [&] {
-    Simulate(os.graph, os.schedule.strategy.placement, cluster, SimOptions{});
-  });
-  mem.Disable();
-
-  const auto active = [](const MemTagStats& a, const MemTagStats& b) {
-    return a.allocs != b.allocs || a.frees != b.frees || b.peak_bytes > 0;
-  };
-  for (const Phase& p : phases) {
-    std::printf("phase %s (peak %s, live after %s)\n", p.name.c_str(),
-                HumanBytes(static_cast<double>(p.total_peak)).c_str(),
-                HumanBytes(static_cast<double>(p.total_live)).c_str());
-    TablePrinter table(
-        {"subsystem", "peak", "live", "allocs", "frees", "alloc bytes"});
-    for (size_t t = 0; t < kNumMemTags; ++t) {
-      const MemTagStats& a = p.before[t];
-      const MemTagStats& b = p.after[t];
-      if (!active(a, b)) continue;
-      table.AddRow({MemTagName(static_cast<MemTag>(t)),
-                    HumanBytes(static_cast<double>(b.peak_bytes)),
-                    HumanBytes(static_cast<double>(b.live_bytes)),
-                    StrFormat("%lld", (long long)(b.allocs - a.allocs)),
-                    StrFormat("%lld", (long long)(b.frees - a.frees)),
-                    HumanBytes(
-                        static_cast<double>(b.alloc_bytes - a.alloc_bytes))});
-    }
-    table.Print();
-    std::printf("\n");
-  }
-
-  // Whole-round rollup: cumulative counts from the final snapshot; peaks are
-  // per-phase maxima (the boundaries reset them).
-  const std::vector<MemTagStats>& final_stats = phases.back().after;
-  std::vector<int64_t> tag_peak(kNumMemTags, 0);
-  int64_t run_peak = 0;
-  for (const Phase& p : phases) {
-    run_peak = std::max(run_peak, p.total_peak);
-    for (size_t t = 0; t < kNumMemTags; ++t)
-      tag_peak[t] = std::max(tag_peak[t], p.after[t].peak_bytes);
-  }
-  std::printf("whole round (peak %s)\n",
-              HumanBytes(static_cast<double>(run_peak)).c_str());
-  TablePrinter total(
-      {"subsystem", "peak", "live", "allocs", "frees", "alloc bytes"});
-  for (size_t t = 0; t < kNumMemTags; ++t) {
-    const MemTagStats& s = final_stats[t];
-    if (s.allocs == 0 && s.frees == 0) continue;
-    total.AddRow({MemTagName(static_cast<MemTag>(t)),
-                  HumanBytes(static_cast<double>(tag_peak[t])),
-                  HumanBytes(static_cast<double>(s.live_bytes)),
-                  StrFormat("%lld", (long long)s.allocs),
-                  StrFormat("%lld", (long long)s.frees),
-                  HumanBytes(static_cast<double>(s.alloc_bytes))});
-  }
-  total.Print();
-
-  // Greppable one-liner (the ctest smoke pins nonzero graph + sim/events).
-  const MemTagStats& gs = final_stats[static_cast<size_t>(MemTag::kGraph)];
-  const MemTagStats& ss = final_stats[static_cast<size_t>(MemTag::kSimEvents)];
-  std::printf("\nmemstat summary: graph allocs=%lld peak=%lld; sim/events "
-              "allocs=%lld peak=%lld; total peak=%lld\n",
-              (long long)gs.allocs,
-              (long long)tag_peak[static_cast<size_t>(MemTag::kGraph)],
-              (long long)ss.allocs,
-              (long long)tag_peak[static_cast<size_t>(MemTag::kSimEvents)],
-              (long long)run_peak);
-
-  // The fastt-memstat/1 document doubles as --json output and as the
-  // "memstat" section of a --report bundle, so it is rendered once here.
-  std::string memstat_json;
-  if (!args.json_path.empty() || !args.report_path.empty()) {
-    JsonWriter w;
-    w.BeginObject();
-    w.Key("schema").String("fastt-memstat/1");
-    w.Key("model").String(spec.name);
-    w.Key("batch").Int(batch);
-    w.Key("gpus").Int(cluster.num_devices());
-    w.Key("run_peak_bytes").Int(run_peak);
-    w.Key("phases").BeginArray();
-    for (const Phase& p : phases) {
-      w.BeginObject();
-      w.Key("name").String(p.name);
-      w.Key("total_peak_bytes").Int(p.total_peak);
-      w.Key("total_live_bytes").Int(p.total_live);
-      w.Key("tags").BeginObject();
-      for (size_t t = 0; t < kNumMemTags; ++t) {
-        const MemTagStats& a = p.before[t];
-        const MemTagStats& b = p.after[t];
-        if (!active(a, b)) continue;
-        w.Key(MemTagName(static_cast<MemTag>(t))).BeginObject();
-        w.Key("peak_bytes").Int(b.peak_bytes);
-        w.Key("live_bytes").Int(b.live_bytes);
-        w.Key("allocs").Int(b.allocs - a.allocs);
-        w.Key("frees").Int(b.frees - a.frees);
-        w.Key("alloc_bytes").Int(b.alloc_bytes - a.alloc_bytes);
-        w.EndObject();
-      }
-      w.EndObject();
-      w.EndObject();
-    }
-    w.EndArray();
-    w.Key("totals").BeginObject();
-    for (size_t t = 0; t < kNumMemTags; ++t) {
-      const MemTagStats& s = final_stats[t];
-      if (s.allocs == 0 && s.frees == 0) continue;
-      w.Key(MemTagName(static_cast<MemTag>(t))).BeginObject();
-      w.Key("peak_bytes").Int(tag_peak[t]);
-      w.Key("live_bytes").Int(s.live_bytes);
-      w.Key("allocs").Int(s.allocs);
-      w.Key("frees").Int(s.frees);
-      w.Key("alloc_bytes").Int(s.alloc_bytes);
-      w.EndObject();
-    }
-    w.EndObject();
-    w.EndObject();
-    memstat_json = w.str();
-  }
-  if (!args.json_path.empty()) {
-    std::ofstream out(args.json_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", args.json_path.c_str());
-      return 1;
-    }
-    out << memstat_json << "\n";
-    std::printf("wrote memstat JSON to %s\n", args.json_path.c_str());
-  }
-  ReportSections sections;
-  if (!args.report_path.empty())
-    sections.push_back({"memstat", memstat_json});
-  WriteRunArtifacts(args, nullptr, sections);
-  return 0;
+  return WriteRunArtifacts(args, 0, &ft.events);
 }
 
 int CmdExplain(const Args& args) {
@@ -837,21 +493,11 @@ int CmdExplain(const Args& args) {
               "recorded\n\n",
               ft.provenance.size(), ft.split_trials.size());
   std::fputs(ExplainOps(ft, args.op).c_str(), stdout);
-  if (!args.json_path.empty()) {
-    std::ofstream out(args.json_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", args.json_path.c_str());
-      return 1;
-    }
-    out << ProvenanceToJson(ft.provenance, ft.split_trials) << "\n";
-    std::printf("\nwrote provenance JSON to %s\n", args.json_path.c_str());
-  }
   ReportSections sections;
   if (!args.report_path.empty())
     sections.push_back(
         {"provenance", ProvenanceToJson(ft.provenance, ft.split_trials)});
-  WriteRunArtifacts(args, &ft.events, sections);
-  return 0;
+  return WriteRunArtifacts(args, 0, &ft.events, sections);
 }
 
 int CmdCalibrate(const Args& args) {
@@ -867,21 +513,11 @@ int CmdCalibrate(const Args& args) {
   const auto ft = RunFastT(spec.build, spec.name, batch, args.scaling,
                            cluster, options);
   std::fputs(RenderCalibrationReport(ft.calibration).c_str(), stdout);
-  if (!args.json_path.empty()) {
-    std::ofstream out(args.json_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", args.json_path.c_str());
-      return 1;
-    }
-    out << CalibrationToJson(spec.name, ft.calibration) << "\n";
-    std::printf("\nwrote calibration JSON to %s\n", args.json_path.c_str());
-  }
   ReportSections sections;
   if (!args.report_path.empty())
     sections.push_back(
         {"calibration", CalibrationToJson(spec.name, ft.calibration)});
-  WriteRunArtifacts(args, &ft.events, sections);
-  return 0;
+  return WriteRunArtifacts(args, 0, &ft.events, sections);
 }
 
 int CmdVerify(const Args& args) {
@@ -958,20 +594,10 @@ int CmdVerify(const Args& args) {
   const VerifyResult result =
       VerifyStrategy(graph, strategy, cluster, &comm, VerifierOptions{});
   std::fputs(RenderDiagnostics(graph, result).c_str(), stdout);
-  if (!args.json_path.empty()) {
-    std::ofstream out(args.json_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", args.json_path.c_str());
-      return 2;
-    }
-    out << DiagnosticsToJson(graph, result) << "\n";
-    std::printf("wrote diagnostics JSON to %s\n", args.json_path.c_str());
-  }
   ReportSections sections;
   if (!args.report_path.empty())
     sections.push_back({"verify", DiagnosticsToJson(graph, result)});
-  WriteRunArtifacts(args, nullptr, sections);
-  return result.ok() ? 0 : 1;
+  return WriteRunArtifacts(args, result.ok() ? 0 : 1, nullptr, sections);
 }
 
 int CmdArena(const Args& args) {
@@ -1009,8 +635,7 @@ int CmdArena(const Args& args) {
 
   if (result.winner < 0) {
     std::printf("\nno searcher produced a verified strategy\n");
-    WriteRunArtifacts(args, &result.events);
-    return 1;
+    return WriteRunArtifacts(args, 1, &result.events);
   }
   const PortfolioEntry& winner =
       result.entries[static_cast<size_t>(result.winner)];
@@ -1021,29 +646,34 @@ int CmdArena(const Args& args) {
               result.strategy.execution_order.size());
   std::fputs(RenderDiagnostics(result.graph, result.winner_verify).c_str(),
              stdout);
-
-  if (!args.json_path.empty()) {
-    std::ofstream out(args.json_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", args.json_path.c_str());
-      return 2;
-    }
-    out << PortfolioToJson(spec.name, batch, cluster, result) << "\n";
-    std::printf("wrote arena JSON to %s\n", args.json_path.c_str());
-  }
   ReportSections sections;
   if (!args.report_path.empty())
     sections.push_back(
         {"arena", PortfolioToJson(spec.name, batch, cluster, result)});
-  WriteRunArtifacts(args, &result.events, sections);
-  return 0;
+  return WriteRunArtifacts(args, 0, &result.events, sections);
+}
+
+// Writes a drained search trace as a Chrome trace. Returns the command's
+// exit code `rc`, or 1 when the file cannot be written.
+int WriteSearchTrace(const std::string& path, const TraceDump& dump, int rc) {
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return rc != 0 ? rc : 1;
+  }
+  out << TraceToChromeJson(dump) << "\n";
+  std::printf("wrote search trace to %s (%zu spans)\n", path.c_str(),
+              dump.spans.size());
+  return rc;
 }
 
 // `fastt report` — the full workflow inside a fresh TelemetryContext: the
 // tracer and heap tracker run for the whole workflow, every instrumented
 // call site (including pool workers) lands in the request-scoped context,
-// and the richest fastt-report/1 bundle is written at the end. This is the
-// artifact a `fastt serve` request would return.
+// and the richest fastt-report/1 bundle is written at the end. The one
+// drained trace feeds the printed phase table, the bundle's trace_phases
+// and, with --trace-search, the Chrome trace; since the heap tracker is on,
+// that trace carries mem/<tag>/live_bytes counter tracks next to the spans.
 int CmdReport(const Args& args) {
   const ModelSpec* specp = RequireModel(args.model);
   if (specp == nullptr) return 2;
@@ -1084,7 +714,8 @@ int CmdReport(const Args& args) {
   mem.Disable();
   if (profiling) CpuProfiler::Global().Stop();
   context.tracer().Disable();
-  const TraceSummary summary = SummarizeTrace(context.tracer().Drain());
+  const TraceDump dump = context.tracer().Drain();
+  const TraceSummary summary = SummarizeTrace(dump);
   SymbolizedProfile prof;
   if (profiling) prof = SymbolizeProfile(CpuProfiler::Global().Drain());
 
@@ -1092,6 +723,8 @@ int CmdReport(const Args& args) {
               "errors, %d warnings\n",
               SamplesPerSecond(ft), ft.rounds, ft.strategy.splits.size(),
               verify.errors, verify.warnings);
+  std::printf("\n");
+  std::fputs(RenderTraceSummary(summary).c_str(), stdout);
   if (profiling && prof.samples_total > 0) {
     std::printf("\n");
     std::fputs(RenderProfileTable(prof).c_str(), stdout);
@@ -1110,7 +743,8 @@ int CmdReport(const Args& args) {
                       CalibrationToJson(spec.name, ft.calibration));
   report.AddSection("verify", DiagnosticsToJson(ft.graph, verify));
   {
-    // Whole-run heap rollup (per-phase detail lives in `fastt memstat`).
+    // Whole-run heap rollup; the trace's mem/<tag>/live_bytes tracks show
+    // it over time.
     JsonWriter w;
     w.BeginObject();
     w.Key("total_peak_bytes").Int(mem.total_peak_bytes());
@@ -1138,7 +772,8 @@ int CmdReport(const Args& args) {
     return 1;
   }
   std::printf("wrote run report to %s\n", out_path.c_str());
-  return 0;
+  if (args.trace_search_path.empty()) return 0;
+  return WriteSearchTrace(args.trace_search_path, dump, 0);
 }
 
 int CmdBenchDiff(const Args& args) {
@@ -1173,27 +808,20 @@ constexpr CommandSpec kCommands[] = {
     {"compare", "fastt compare <model> [--gpus N] [--servers S] [--batch B]"},
     {"export", "fastt export <model> <graph.txt> [--batch B]"},
     {"trace", "fastt trace <model> <trace.json> [--gpus N]"},
-    {"analyze",
-     "fastt analyze <model> [--gpus N] [--servers S] [--batch B] [--json F]"},
+    {"analyze", "fastt analyze <model> [--gpus N] [--servers S] [--batch B]"},
     {"explain",
-     "fastt explain <model> --op <name> [--gpus N] [--servers S] [--batch B] "
-     "[--json F]"},
+     "fastt explain <model> --op <name> [--gpus N] [--servers S] [--batch B]"},
     {"calibrate",
-     "fastt calibrate <model> [--gpus N] [--servers S] [--batch B] "
-     "[--json F]"},
-    {"search-profile",
-     "fastt search-profile <model> [trace.json] [--gpus N] [--jobs N]"},
-    {"memstat",
-     "fastt memstat <model> [--gpus N] [--batch B] [--jobs N] [--json F]"},
+     "fastt calibrate <model> [--gpus N] [--servers S] [--batch B]"},
     {"bench-diff",
      "fastt bench-diff <old.json> <new.json> [--threshold T] [--hard-factor "
      "F] [--min-repeats R]"},
     {"verify",
      "fastt verify <model> [--strategy f] [--gpus N] [--servers S] "
-     "[--batch B] [--json F]"},
+     "[--batch B]"},
     {"arena",
      "fastt arena <model> [--gpus N] [--servers S] [--batch B] "
-     "[--budget-ms T] [--jobs N] [--json F]"},
+     "[--budget-ms T] [--jobs N]"},
     {"report",
      "fastt report <model> [report.json] [--gpus N] [--servers S] "
      "[--batch B] [--jobs N]"},
@@ -1205,15 +833,12 @@ int Usage() {
     std::fprintf(stderr, "  %s\n", c.usage);
   std::fprintf(stderr,
                "options: every command accepts --jobs N (parallel search;\n"
-               "         same strategy as --jobs 1), --metrics <out.json>,\n"
-               "         --report <out.json> (fastt-report/1 bundle),\n"
-               "         --openmetrics <out.txt> (Prometheus exposition),\n"
-               "         --blackbox <out.json> (crash dump on fatal signal),\n"
-               "         --log-level error|warn|info|debug (or\n"
-               "         FASTT_LOG_LEVEL) and --trace-search <out.json>\n"
-               "         (Chrome trace of the search; also via\n"
-               "         FASTT_TRACE_SEARCH=path); `fastt report` also\n"
-               "         prints and saves a CPU profile;\n"
+               "         same strategy as --jobs 1), --report <out.json>\n"
+               "         (fastt-report/1 bundle), --log-level\n"
+               "         error|warn|info|debug (or FASTT_LOG_LEVEL) and\n"
+               "         --trace-search <out.json> (Chrome trace of the\n"
+               "         search); `fastt report` also prints the search\n"
+               "         phase table and a CPU profile;\n"
                "         `fastt --version` prints build provenance\n");
   return 2;
 }
@@ -1231,11 +856,8 @@ int CommandUsage(const std::string& command) {
 
 int Dispatch(const Args& args) {
   if (args.command.empty()) return Usage();
-  if (args.command == "models") {
-    const int rc = CmdModels();
-    WriteRunArtifacts(args, nullptr);
-    return rc;
-  }
+  if (args.command == "models")
+    return WriteRunArtifacts(args, CmdModels(), nullptr);
   if (args.command == "run")
     return args.model.empty() ? CommandUsage(args.command) : CmdRun(args);
   if (args.command == "analyze")
@@ -1247,27 +869,18 @@ int Dispatch(const Args& args) {
                               : CmdCalibrate(args);
   if (args.command == "compare") {
     if (args.model.empty()) return CommandUsage(args.command);
-    const int rc = CmdCompare(args);
-    WriteRunArtifacts(args, nullptr);
-    return rc;
+    return WriteRunArtifacts(args, CmdCompare(args), nullptr);
   }
   if (args.command == "export") {
     if (args.model.empty() || args.path.empty())
       return CommandUsage(args.command);
-    const int rc = CmdExport(args);
-    WriteRunArtifacts(args, nullptr);
-    return rc;
+    return WriteRunArtifacts(args, CmdExport(args), nullptr);
   }
   if (args.command == "trace") {
     if (args.model.empty() || args.path.empty())
       return CommandUsage(args.command);
     return CmdTrace(args);
   }
-  if (args.command == "search-profile")
-    return args.model.empty() ? CommandUsage(args.command)
-                              : CmdSearchProfile(args);
-  if (args.command == "memstat")
-    return args.model.empty() ? CommandUsage(args.command) : CmdMemstat(args);
   if (args.command == "verify")
     return args.model.empty() ? CommandUsage(args.command) : CmdVerify(args);
   if (args.command == "arena")
@@ -1309,18 +922,12 @@ int main(int argc, char** argv) {
     }
     SetLogThreshold(level);
   }
-  if (!args.blackbox_path.empty()) InstallBlackbox(args.blackbox_path);
   if (args.jobs > 0) SetSearchJobs(args.jobs);
-  if (args.trace_search_path.empty()) {
-    if (const char* env = std::getenv("FASTT_TRACE_SEARCH");
-        env != nullptr && *env != '\0')
-      args.trace_search_path = env;
-  }
-  // search-profile owns the tracer itself (it enables, drains and writes);
-  // for every other command --trace-search records the whole run's search
-  // activity and the epilogue below writes it out.
+  // `fastt report` records into its own TelemetryContext and writes the
+  // trace itself; for every other command --trace-search records the whole
+  // run's search activity and the epilogue below writes it out.
   const bool trace_here =
-      !args.trace_search_path.empty() && args.command != "search-profile";
+      !args.trace_search_path.empty() && args.command != "report";
   if (trace_here) {
     Tracer::Global().SetCurrentThreadName("search main");
     Tracer::Global().Enable();
@@ -1334,16 +941,7 @@ int main(int argc, char** argv) {
   }
   if (trace_here) {
     Tracer::Global().Disable();
-    const TraceDump dump = Tracer::Global().Drain();
-    std::ofstream out(args.trace_search_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n",
-                   args.trace_search_path.c_str());
-      return rc != 0 ? rc : 1;
-    }
-    out << TraceToChromeJson(dump) << "\n";
-    std::printf("wrote search trace to %s (%zu spans)\n",
-                args.trace_search_path.c_str(), dump.spans.size());
+    rc = WriteSearchTrace(args.trace_search_path, Tracer::Global().Drain(), rc);
   }
   return rc;
 }
