@@ -38,9 +38,7 @@ int main() {
                 show(single.final_sim.oom, single.iteration_s));
     std::printf(" %12s", show(dp.final_sim.oom, dp.iteration_s));
     std::printf(" %14s", show(ft.final_sim.oom, ft.iteration_s));
-    std::printf("  %s\n", ft.started_model_parallel
-                              ? "model parallel"
-                              : "data parallel");
+    std::printf("  %s\n", ft.start_strategy.c_str());
     std::fflush(stdout);
   }
   std::printf(

@@ -1,11 +1,66 @@
 #include "core/pipeline.h"
 
-#include <map>
+#include <functional>
+#include <queue>
+#include <string_view>
+#include <unordered_map>
 
 #include "core/model_parallel.h"
 #include "util/check.h"
 
 namespace fastt {
+
+std::vector<DeviceId> PipelinePlacement(const Graph& g,
+                                        const Cluster& cluster) {
+  // Stage map from micro-batch 0's layer-wise cut: cost key → device. The
+  // keys view the ops' own strings; `g` is not modified while they live.
+  const std::vector<DeviceId> reference =
+      GreedyModelParallelPlacement(g, cluster);
+  std::unordered_map<std::string_view, DeviceId> stage_of;
+  for (OpId id : g.LiveOps())
+    stage_of.try_emplace(g.op(id).CostKey(),
+                         reference[static_cast<size_t>(id)]);
+
+  std::vector<DeviceId> placement(static_cast<size_t>(g.num_slots()), 0);
+  for (OpId id : g.LiveOps())
+    placement[static_cast<size_t>(id)] = stage_of.at(g.op(id).CostKey());
+  for (OpId id : g.TopoOrder()) {
+    const OpId target = g.op(id).colocate_with;
+    if (target != kInvalidOp && !g.op(target).dead)
+      placement[static_cast<size_t>(id)] =
+          placement[static_cast<size_t>(target)];
+  }
+  return placement;
+}
+
+std::vector<OpId> MicroBatchMajorOrder(const Graph& g) {
+  std::vector<int32_t> in_degree(static_cast<size_t>(g.num_slots()), 0);
+  std::priority_queue<OpId, std::vector<OpId>, std::greater<OpId>> ready;
+  for (OpId id : g.LiveOps()) {
+    for (EdgeId e : g.in_edges(id)) {
+      const Edge& edge = g.edge(e);
+      if (!edge.dead && !g.op(edge.src).dead)
+        ++in_degree[static_cast<size_t>(id)];
+    }
+    if (in_degree[static_cast<size_t>(id)] == 0) ready.push(id);
+  }
+  std::vector<OpId> order;
+  order.reserve(static_cast<size_t>(g.num_live_ops()));
+  while (!ready.empty()) {
+    const OpId id = ready.top();
+    ready.pop();
+    order.push_back(id);
+    for (EdgeId e : g.out_edges(id)) {
+      const Edge& edge = g.edge(e);
+      if (edge.dead || g.op(edge.dst).dead) continue;
+      if (--in_degree[static_cast<size_t>(edge.dst)] == 0)
+        ready.push(edge.dst);
+    }
+  }
+  FASTT_CHECK_MSG(order.size() == static_cast<size_t>(g.num_live_ops()),
+                  "graph contains a cycle");
+  return order;
+}
 
 PipelineGraph BuildPipeline(const ModelBuildFn& build,
                             const std::string& model_name, int64_t batch,
@@ -14,47 +69,17 @@ PipelineGraph BuildPipeline(const ModelBuildFn& build,
   FASTT_CHECK_MSG(batch >= micro_batches,
                   "batch must cover every micro-batch");
 
-  PipelineGraph pipeline;
-  pipeline.micro_batches = micro_batches;
-
   // Micro-batches are replicas with shared variables and one optimizer
   // update fed by the aggregated micro-batch gradients — exactly the
-  // shared-variable data-parallel construction, re-placed stage-wise below.
+  // shared-variable data-parallel construction, re-placed stage-wise.
   DataParallelGraph dp = BuildDataParallel(build, model_name, batch,
                                            micro_batches, Scaling::kStrong);
+  PipelineGraph pipeline;
+  pipeline.micro_batches = micro_batches;
   pipeline.global_batch = dp.global_batch;
-
-  // Stage map from micro-batch 0's layer-wise cut: cost key → device. The
-  // cut also pins the shared variables (which live in replica 0's slice).
-  const auto reference =
-      GreedyModelParallelPlacement(dp.graph, cluster);
-  std::map<std::string, DeviceId> stage_of;
-  for (OpId id : dp.graph.LiveOps())
-    stage_of.emplace(dp.graph.op(id).CostKey(),
-                     reference[static_cast<size_t>(id)]);
-
-  pipeline.placement.assign(static_cast<size_t>(dp.graph.num_slots()), 0);
-  for (OpId id : dp.graph.LiveOps()) {
-    auto it = stage_of.find(dp.graph.op(id).CostKey());
-    pipeline.placement[static_cast<size_t>(id)] =
-        it != stage_of.end() ? it->second
-                             : reference[static_cast<size_t>(id)];
-  }
-  // Colocation constraints win over the stage map.
-  for (OpId id : dp.graph.TopoOrder()) {
-    const OpId target = dp.graph.op(id).colocate_with;
-    if (target != kInvalidOp && !dp.graph.op(target).dead)
-      pipeline.placement[static_cast<size_t>(id)] =
-          pipeline.placement[static_cast<size_t>(target)];
-  }
-
-  // Depth-first priorities: creation order is micro-batch-major, so OpId
-  // order already expresses "finish micro-batch m's stage before starting
-  // micro-batch m+1's".
-  pipeline.priorities.resize(static_cast<size_t>(dp.graph.num_slots()));
-  for (size_t i = 0; i < pipeline.priorities.size(); ++i)
-    pipeline.priorities[i] = static_cast<int64_t>(i);
-
+  pipeline.placement = PipelinePlacement(dp.graph, cluster);
+  pipeline.priorities = PrioritiesFromOrder(MicroBatchMajorOrder(dp.graph),
+                                            dp.graph.num_slots());
   pipeline.graph = std::move(dp.graph);
   return pipeline;
 }

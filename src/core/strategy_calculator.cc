@@ -6,6 +6,7 @@
 
 #include "analysis/verifier.h"
 #include "core/model_parallel.h"
+#include "core/pipeline.h"
 #include "obs/metrics.h"
 #include "sim/profiler.h"
 #include "util/check.h"
@@ -85,15 +86,29 @@ double ProfileSteps(const Graph& g, const std::vector<DeviceId>& placement,
 double MeasureSteps(const Graph& g, const std::vector<DeviceId>& placement,
                     const std::vector<int64_t>& priorities,
                     DispatchMode dispatch, const Cluster& cluster, int iters,
-                    double noise_cv, uint64_t seed, SimResult* last) {
+                    double noise_cv, uint64_t seed, SimResult* last,
+                    bool* oom = nullptr) {
   std::vector<Step> steps =
       SimulateSteps(g, placement, priorities, dispatch, cluster, iters,
                     noise_cv, seed + 1000003, 104729, false);
   double total = 0.0;
-  for (const Step& step : steps) total += step.makespan;
+  for (const Step& step : steps) {
+    total += step.makespan;
+    if (oom && step.oom) *oom = true;
+  }
   if (last && !steps.empty()) *last = std::move(steps.back().sim);
   return total / iters;
 }
+
+// A start strategy on the base graph: a placement, the order it is returned
+// with, and what its measured steps showed.
+struct Start {
+  const char* name;
+  std::vector<DeviceId> placement;
+  std::vector<OpId> order;
+  double measured_s = 0.0;
+  bool oom = false;
+};
 
 // Communication probe: a throwaway graph whose edges exercise every ordered
 // device pair at two tensor sizes, so each pair's linear regression can
@@ -190,9 +205,17 @@ std::string ExplainOps(const CalculatorResult& result,
   const std::string trials = RenderSplitTrials(result.split_trials, needle);
   if (!trials.empty()) out += "split trials:\n" + trials;
   if (matched == 0 && trials.empty()) {
-    out += result.provenance.empty()
-               ? "no provenance recorded (run with record_provenance)\n"
-               : StrFormat("no recorded op matches \"%s\"\n", needle.c_str());
+    const bool any_commit =
+        std::any_of(result.round_history.begin(), result.round_history.end(),
+                    [](const RoundSummary& r) { return r.committed; });
+    if (!result.provenance.empty())
+      out += StrFormat("no recorded op matches \"%s\"\n", needle.c_str());
+    else if (!any_commit)
+      out += StrFormat("no round committed: the returned strategy is the %s "
+                       "start, which has no DPOS provenance\n",
+                       result.start_strategy.c_str());
+    else
+      out += "no provenance recorded (run with record_provenance)\n";
   }
   return out;
 }
@@ -226,7 +249,7 @@ CalculatorResult RunFastT(const ModelBuildFn& build,
   FASTT_SCOPED_TIMER("calculator/run_fastt");
   CalculatorResult result;
 
-  // ---- choose the start strategy (paper §4 / §5.2) -------------------------
+  // ---- choose the start strategies (paper §4 / §5.2, §7/§8) ----------------
   // If one replica (at its per-replica batch) fits on one GPU, the input
   // graph is the data-parallel replication (FastT then searches for
   // something better than pure DP); otherwise the input is the bare model
@@ -238,15 +261,20 @@ CalculatorResult RunFastT(const ModelBuildFn& build,
   Graph probe(model_name);
   build(probe, "", replica_batch);
   const bool fits = FitsOnOneDevice(probe, cluster);
-  result.started_model_parallel = !fits;
 
   Graph base;
-  std::vector<DeviceId> start_placement;
+  std::vector<Start> starts;
   if (fits && cluster.num_devices() > 1) {
     DataParallelGraph dp = BuildDataParallel(build, model_name, batch,
                                              cluster.num_devices(), scaling);
     result.global_batch = dp.global_batch;
-    start_placement = CanonicalDataParallelPlacement(dp);
+    // Two starts on the one graph: shared-variable DP, and the GPipe-style
+    // pipeline with one micro-batch per replica (with M = |D| micro-batches
+    // the pipeline graph is this DP graph).
+    starts.push_back({"data_parallel", CanonicalDataParallelPlacement(dp),
+                      dp.graph.TopoOrder()});
+    starts.push_back({"pipeline", PipelinePlacement(dp.graph, cluster),
+                      MicroBatchMajorOrder(dp.graph)});
     base = std::move(dp.graph);
   } else {
     // Single device, or model too large to replicate: operate on the bare
@@ -254,9 +282,11 @@ CalculatorResult RunFastT(const ModelBuildFn& build,
     // per-GPU batch; the devices jointly hold one replica.)
     result.global_batch = batch;
     base = std::move(probe);
-    start_placement = fits ? std::vector<DeviceId>(
+    starts.push_back({fits ? "data_parallel" : "model_parallel",
+                      fits ? std::vector<DeviceId>(
                                  static_cast<size_t>(base.num_slots()), 0)
-                           : GreedyModelParallelPlacement(base, cluster);
+                           : GreedyModelParallelPlacement(base, cluster),
+                      base.TopoOrder()});
   }
 
   // ---- pre-training: profile, recompute, activate or roll back -------------
@@ -268,24 +298,69 @@ CalculatorResult RunFastT(const ModelBuildFn& build,
   result.events.Emit("comm_probe")
       .Int("devices", cluster.num_devices())
       .Number("simulated_s", result.strategy_time_s - probe_before_s);
+  // The bootstrap profile runs the first start under the default executor
+  // (random dispatch, TF's inter-op pool) and alone seeds the cost models.
+  bool bootstrap_oom = false;
+  const double bootstrap_s = ProfileSteps(
+      base, starts[0].placement, {}, DispatchMode::kRandom, cluster,
+      options.profile_iterations, options.noise_cv, options.seed, result.comp,
+      result.comm, &result.strategy_time_s, &bootstrap_oom);
+
+  // With several starts, each is measured as it would be returned: under
+  // its declared order when order enforcement is on, as the rounds are.
+  // These steps only time the starts; they do not feed the cost models.
+  const bool enforce = starts.size() > 1 && options.enable_order_enforcement;
+  const DispatchMode start_dispatch =
+      enforce ? DispatchMode::kPriority : DispatchMode::kRandom;
+  auto start_priorities = [&](const Start& s) {
+    return enforce ? PrioritiesFromOrder(s.order, base.num_slots())
+                   : std::vector<int64_t>{};
+  };
+  if (starts.size() == 1) {
+    starts[0].measured_s = bootstrap_s;
+    starts[0].oom = bootstrap_oom;
+  } else {
+    for (Start& s : starts) {
+      s.measured_s = MeasureSteps(
+          base, s.placement, start_priorities(s), start_dispatch, cluster,
+          options.profile_iterations, options.noise_cv, options.seed + 524287,
+          nullptr, &s.oom);
+      result.strategy_time_s += s.measured_s * options.profile_iterations;
+    }
+  }
+  // The fastest start that fits is the incumbent. When none fits, the first
+  // stays, and the first feasible round candidate replaces it.
+  size_t chosen = 0;
+  for (size_t i = 1; i < starts.size(); ++i)
+    if (!starts[i].oom && (starts[chosen].oom ||
+                           starts[i].measured_s < starts[chosen].measured_s))
+      chosen = i;
+  // Switching away from the profiled start is one more restart.
+  if (chosen != 0) result.strategy_time_s += options.restart_overhead_s;
+  const Start& start = starts[chosen];
+  result.start_strategy = start.name;
+
   Graph current_graph = base;
   StabilityKeys current_keys = CostKeys(current_graph);
-  std::vector<DeviceId> current_placement = start_placement;
-  std::vector<int64_t> current_priorities;
-  DispatchMode current_dispatch = DispatchMode::kRandom;  // TF default
-  double current_measured = ProfileSteps(
-      current_graph, current_placement, current_priorities, current_dispatch,
-      cluster, options.profile_iterations, options.noise_cv, options.seed,
-      result.comp, result.comm, &result.strategy_time_s);
+  std::vector<DeviceId> current_placement = start.placement;
+  std::vector<int64_t> current_priorities = start_priorities(start);
+  DispatchMode current_dispatch = start_dispatch;
+  double current_measured = start.measured_s;
+  bool current_oom = start.oom;
   Strategy current_strategy;
-  current_strategy.placement = current_placement;
-  current_strategy.execution_order = current_graph.TopoOrder();
-  result.events.Emit("bootstrap")
-      .Str("start_strategy",
-           result.started_model_parallel ? "model_parallel" : "data_parallel")
-      .Int("ops", current_graph.num_live_ops())
-      .Int("profile_iterations", options.profile_iterations)
-      .Number("measured_iteration_s", current_measured);
+  current_strategy.placement = start.placement;
+  current_strategy.execution_order = start.order;
+  {
+    EventLog::Builder event = result.events.Emit("bootstrap");
+    event.Str("start_strategy", start.name)
+        .Int("ops", current_graph.num_live_ops())
+        .Int("profile_iterations", options.profile_iterations)
+        .Number("measured_iteration_s", current_measured)
+        .Bool("oom", current_oom);
+    for (const Start& s : starts)
+      event.Number(std::string(s.name) + "_measured_s", s.measured_s)
+          .Bool(std::string(s.name) + "_oom", s.oom);
+  }
 
   for (int round = 0; round < options.max_rounds; ++round) {
     ++result.rounds;
@@ -401,9 +476,11 @@ CalculatorResult RunFastT(const ModelBuildFn& build,
     summary.splits = static_cast<int>(candidate.splits.size());
     summary.algorithm_s = result.algorithm_time_s - round_algo_before;
 
-    // An out-of-memory run crashes a real session: always roll back.
-    if (!candidate_oom && measured <= current_measured) {
+    // An out-of-memory run crashes a real session: always roll back. Any
+    // feasible candidate beats an incumbent that runs out of memory.
+    if (!candidate_oom && (current_oom || measured <= current_measured)) {
       summary.committed = true;
+      current_oom = false;
       current_graph = candidate.graph;
       current_keys = CostKeys(current_graph);
       current_placement = candidate.schedule.strategy.placement;

@@ -1,6 +1,7 @@
 // StrategyCalculator — the FastT workflow (paper §4).
 //
-// Pre-training stage: start from data parallelism (or greedy model
+// Pre-training stage: start from the faster of data parallelism and a
+// micro-batch pipeline on the same replica graph (or from greedy model
 // parallelism if the model cannot fit one GPU), run a few profiled
 // iterations, update the adaptive cost models, compute a new strategy with
 // OS-DPOS, activate it (checkpoint + restart, accounted as overhead), and
@@ -95,9 +96,10 @@ struct CalculatorResult {
   Strategy strategy; // final placement / order / split list
   // Mean simulated per-iteration time of the final strategy.
   double iteration_s = 0.0;
-  // Simulated wall-clock of the whole pre-training stage: profiling steps +
-  // restarts (what the paper's Table 4 reports, since their strategy time is
-  // dominated by profiled training and restarts).
+  // Simulated wall-clock of the whole pre-training stage: profiling steps
+  // (the start strategies' measured steps included) + restarts (what the
+  // paper's Table 4 reports, since their strategy time is dominated by
+  // profiled training and restarts).
   double strategy_time_s = 0.0;
   // Wall-clock seconds spent inside the DPOS/OS-DPOS calls (steady clock;
   // with --jobs > 1 the CPU time spent there is larger).
@@ -105,7 +107,9 @@ struct CalculatorResult {
   int rounds = 0;
   int rollbacks = 0;
   int activations = 0;
-  bool started_model_parallel = false;
+  // The start strategy chosen at bootstrap: "data_parallel", "pipeline" or
+  // "model_parallel" (the model does not fit one GPU).
+  std::string start_strategy;
   CompCostModel comp;
   CommCostModel comm;
   SimResult final_sim;  // one representative simulation of the final setup

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <map>
 
 #include "obs/json.h"
@@ -13,6 +14,24 @@ namespace fastt {
 namespace {
 
 constexpr size_t kPostmortemTopK = 5;
+
+// The rows of `rows` with the largest |rel_err|, largest first, ties in list
+// order; at most kReportedResiduals of them.
+template <typename Row>
+std::vector<const Row*> LargestRelErr(const std::vector<Row>& rows) {
+  std::vector<const Row*> top;
+  top.reserve(rows.size());
+  for (const Row& r : rows) top.push_back(&r);
+  const size_t n = std::min(top.size(), kReportedResiduals);
+  std::partial_sort(top.begin(), top.begin() + static_cast<std::ptrdiff_t>(n),
+                    top.end(), [](const Row* a, const Row* b) {
+                      const double ea = std::fabs(a->rel_err);
+                      const double eb = std::fabs(b->rel_err);
+                      return ea != eb ? ea > eb : a < b;
+                    });
+  top.resize(n);
+  return top;
+}
 
 ErrorStats StatsOverAbsRelErrors(std::vector<double> abs_rel) {
   ErrorStats stats;
@@ -248,25 +267,25 @@ std::string CalibrationToJson(const std::string& model,
     w.Key("patience").Int(r.stability.patience);
     w.EndObject();
     w.Key("residuals").BeginArray();
-    for (const OpResidual& o : r.residuals) {
+    for (const OpResidual* o : LargestRelErr(r.residuals)) {
       w.BeginObject();
-      w.Key("op").String(o.name);
-      w.Key("device").Int(o.device);
-      w.Key("predicted_s").Number(o.predicted_s);
-      w.Key("realized_s").Number(o.realized_s);
-      w.Key("rel_err").Number(o.rel_err);
+      w.Key("op").String(o->name);
+      w.Key("device").Int(o->device);
+      w.Key("predicted_s").Number(o->predicted_s);
+      w.Key("realized_s").Number(o->realized_s);
+      w.Key("rel_err").Number(o->rel_err);
       w.EndObject();
     }
     w.EndArray();
     w.Key("comm_residuals").BeginArray();
-    for (const CommResidual& c : r.comm_residuals) {
+    for (const CommResidual* c : LargestRelErr(r.comm_residuals)) {
       w.BeginObject();
-      w.Key("src").Int(c.src);
-      w.Key("dst").Int(c.dst);
-      w.Key("bytes").Int(c.bytes);
-      w.Key("predicted_s").Number(c.predicted_s);
-      w.Key("realized_s").Number(c.realized_s);
-      w.Key("rel_err").Number(c.rel_err);
+      w.Key("src").Int(c->src);
+      w.Key("dst").Int(c->dst);
+      w.Key("bytes").Int(c->bytes);
+      w.Key("predicted_s").Number(c->predicted_s);
+      w.Key("realized_s").Number(c->realized_s);
+      w.Key("rel_err").Number(c->rel_err);
       w.EndObject();
     }
     w.EndArray();

@@ -119,8 +119,14 @@ std::string RenderCalibrationReport(const std::vector<CalibrationRound>& rounds)
 std::string RenderCalibrationSummary(
     const std::vector<CalibrationRound>& rounds);
 
+// Residual rows per table and round that CalibrationToJson writes.
+inline constexpr size_t kReportedResiduals = 64;
+
 // Machine-readable report: {"fastt_calibration": 1, "model": ...,
-// "rounds": [...]} with full residual tables.
+// "rounds": [...]}. Each round keeps its error stats (over every joined op
+// and transfer), pair fits and post-mortem, but of the residual tables only
+// the kReportedResiduals op and comm rows with the largest |rel_err|,
+// largest first (ties in table order): a full table is one row per op.
 std::string CalibrationToJson(const std::string& model,
                               const std::vector<CalibrationRound>& rounds);
 

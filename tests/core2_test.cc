@@ -270,7 +270,7 @@ TEST(StrategyCalculator, OomCandidatesNeverKept) {
   options.max_rounds = 4;
   const auto ft =
       RunFastT(spec.build, spec.name, 40, Scaling::kStrong, c, options);
-  EXPECT_TRUE(ft.started_model_parallel);
+  EXPECT_EQ(ft.start_strategy, "model_parallel");
   EXPECT_FALSE(ft.final_sim.oom);
 }
 
@@ -280,7 +280,7 @@ TEST(StrategyCalculator, SingleGpuDegeneratesGracefully) {
   CalculatorOptions options;
   const auto ft =
       RunFastT(spec.build, spec.name, 64, Scaling::kStrong, c, options);
-  EXPECT_FALSE(ft.started_model_parallel);
+  EXPECT_EQ(ft.start_strategy, "data_parallel");
   for (OpId id : ft.graph.LiveOps())
     EXPECT_EQ(ft.strategy.placement[static_cast<size_t>(id)], 0);
 }
@@ -360,7 +360,7 @@ TEST(StrategyCalculator, OomCandidateRollsBackAndRecordsReason) {
   options.measure_iterations = 2;
   const auto ft = RunFastT(BuildHeavyChain, "heavy_chain", 32,
                            Scaling::kStrong, c, options);
-  EXPECT_TRUE(ft.started_model_parallel);
+  EXPECT_EQ(ft.start_strategy, "model_parallel");
   EXPECT_GE(ft.rollbacks, 1);
   ASSERT_EQ(ft.calibration.size(), ft.round_history.size());
   // With memory feasibility disabled the search eventually produces a
@@ -379,6 +379,68 @@ TEST(StrategyCalculator, OomCandidateRollsBackAndRecordsReason) {
   EXPECT_NE(events.find("rollback_oom"), std::string::npos);
   EXPECT_NE(events.find("rollback_postmortem"), std::string::npos);
   EXPECT_NE(events.find("\"cause\":\"oom\""), std::string::npos);
+}
+
+// A three-layer chain with 3, 5 and 5 GB of resident weights: 13 GB does
+// not fit one GPU (~9.1 GB usable), so FastT starts from the greedy layer
+// cut, and that cut is itself out of memory: it balances toward 6.5 GB,
+// puts layer 0 alone on gpu0 and both 5 GB layers on gpu1. Every feasible
+// placement pays for it in transfers the cut avoids: a 512 MB activation
+// across a cut after layer 1, or a 128 MB weight read from the other GPU.
+void BuildLopsidedChain(Graph& g, const std::string& prefix, int64_t batch) {
+  const int64_t mb = int64_t{1} << 20;
+  const int64_t weight_mb[3] = {3 << 10, 5 << 10, 5 << 10};
+  const int64_t out_mb[3] = {1, 512, 1};
+  OpId prev = kInvalidOp;
+  for (int i = 0; i < 3; ++i) {
+    Operation w;
+    w.name = prefix + StrFormat("w%d", i);
+    w.type = OpType::kVariable;
+    w.param_bytes = weight_mb[i] * mb;
+    w.output_shape = TensorShape{128 * mb / 4};
+    const OpId wid = g.AddOp(std::move(w));
+    Operation m;
+    m.name = prefix + StrFormat("mm%d", i);
+    m.type = OpType::kMatMul;
+    m.flops = 1e9;
+    m.batch = batch;
+    m.output_shape = TensorShape{out_mb[i] * mb / 4};
+    const OpId mid = g.AddOp(std::move(m));
+    g.AddEdge(wid, mid);
+    if (prev != kInvalidOp) g.AddEdge(prev, mid);
+    prev = mid;
+  }
+}
+
+TEST(StrategyCalculator, FeasibleCandidateReplacesOomStartEvenIfSlower) {
+  const Cluster c = Cluster::SingleServer(2);
+  CalculatorOptions options;
+  options.enable_split = false;
+  options.noise_cv = 0.0;
+  options.max_rounds = 2;
+  const auto ft = RunFastT(BuildLopsidedChain, "lopsided_chain", 32,
+                           Scaling::kStrong, c, options);
+  EXPECT_EQ(ft.start_strategy, "model_parallel");
+  const std::string events = ft.events.ToJsonl();
+  const size_t boot = events.find("\"event\":\"bootstrap\"");
+  ASSERT_NE(boot, std::string::npos);
+  EXPECT_NE(events.substr(boot, events.find('\n', boot) - boot)
+                .find("\"model_parallel_oom\":true"),
+            std::string::npos)
+      << "the start must run out of memory";
+  ASSERT_EQ(ft.round_history.size(), 2u);
+  // Round 1 is slower than the incumbent's measured time and commits anyway:
+  // an incumbent that runs out of memory loses to any feasible candidate.
+  const RoundSummary& first = ft.round_history[0];
+  EXPECT_FALSE(first.oom);
+  EXPECT_GT(first.measured_s, first.best_before_s);
+  EXPECT_TRUE(first.committed);
+  // From then on the incumbent fits, and the usual rule applies.
+  const RoundSummary& second = ft.round_history[1];
+  EXPECT_EQ(second.best_before_s, first.measured_s);
+  EXPECT_EQ(second.committed,
+            !second.oom && second.measured_s <= second.best_before_s);
+  EXPECT_FALSE(ft.final_sim.oom);
 }
 
 TEST(StrategyCalculator, SlowerCandidateRollbackRecordsReason) {

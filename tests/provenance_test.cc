@@ -2,6 +2,7 @@
 // behind `fastt explain` / `fastt calibrate`.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -11,6 +12,7 @@
 #include "obs/json.h"
 #include "obs/provenance.h"
 #include "sim/exec_sim.h"
+#include "util/strings.h"
 
 namespace fastt {
 namespace {
@@ -69,6 +71,24 @@ TEST(Provenance, ExplainRendersChosenRejectedAndRealized) {
   // A needle that matches nothing says so instead of printing nothing.
   const std::string miss = ExplainOps(ft, "no_such_op_name");
   EXPECT_NE(miss.find("no recorded op matches"), std::string::npos);
+}
+
+TEST(Provenance, ExplainNamesTheStartWhenNoRoundCommitted) {
+  // No provenance and no committed round: the returned strategy is the
+  // start, which DPOS never placed, so asking for record_provenance would
+  // not help.
+  CalculatorResult ft;
+  ft.start_strategy = "pipeline";
+  ft.round_history.emplace_back();
+  const std::string start = ExplainOps(ft, "");
+  EXPECT_NE(start.find("the returned strategy is the pipeline start"),
+            std::string::npos)
+      << start;
+  EXPECT_EQ(start.find("record_provenance"), std::string::npos);
+  // A committed round without provenance: recording was off.
+  ft.round_history.back().committed = true;
+  EXPECT_NE(ExplainOps(ft, "").find("run with record_provenance"),
+            std::string::npos);
 }
 
 TEST(Provenance, RecordingDoesNotChangeTheStrategy) {
@@ -204,6 +224,58 @@ TEST(Calibration, EndToEndOneRoundPerHistoryEntry) {
   const std::string json = CalibrationToJson("lenet", ft.calibration);
   EXPECT_TRUE(JsonValidate(json, &error)) << error;
   EXPECT_NE(json.find("\"fastt_calibration\""), std::string::npos);
+}
+
+TEST(Calibration, JsonKeepsTheLargestRelativeErrors) {
+  // 200 op and 200 comm rows whose |rel_err| cycles through 0.0 .. 0.9 with
+  // alternating signs: the report keeps the 64 largest of each table,
+  // largest first, ties in table order, and its error stats still count
+  // every row.
+  CalibrationRound cal;
+  cal.round = 1;
+  for (int i = 0; i < 200; ++i) {
+    const double rel_err = (i % 2 == 0 ? 1.0 : -1.0) * (i % 10) / 10.0;
+    OpResidual o;
+    o.name = StrFormat("op%d", i);
+    o.rel_err = rel_err;
+    cal.residuals.push_back(o);
+    CommResidual c;
+    c.bytes = i;
+    c.rel_err = -rel_err;
+    cal.comm_residuals.push_back(c);
+  }
+  cal.comp.n = 200;
+  cal.comm.n = 200;
+  auto expected = [](auto rows) {
+    std::stable_sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+      return std::fabs(a.rel_err) > std::fabs(b.rel_err);
+    });
+    rows.resize(kReportedResiduals);
+    return rows;
+  };
+  const std::vector<OpResidual> ops = expected(cal.residuals);
+  const std::vector<CommResidual> comms = expected(cal.comm_residuals);
+
+  JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(JsonParse(CalibrationToJson("synthetic", {cal}), &doc, &error))
+      << error;
+  const JsonValue& round = doc.Find("rounds")->items.at(0);
+  EXPECT_EQ(round.Find("comp_rel_err")->Find("n")->IntOr(-1), 200);
+  EXPECT_EQ(round.Find("comm_rel_err")->Find("n")->IntOr(-1), 200);
+  const std::vector<JsonValue>& op_rows = round.Find("residuals")->items;
+  ASSERT_EQ(op_rows.size(), kReportedResiduals);
+  for (size_t i = 0; i < op_rows.size(); ++i) {
+    EXPECT_EQ(op_rows[i].Find("op")->StringOr(""), ops[i].name) << i;
+    EXPECT_EQ(op_rows[i].Find("rel_err")->NumberOr(0.0), ops[i].rel_err);
+  }
+  const std::vector<JsonValue>& comm_rows =
+      round.Find("comm_residuals")->items;
+  ASSERT_EQ(comm_rows.size(), kReportedResiduals);
+  for (size_t i = 0; i < comm_rows.size(); ++i) {
+    EXPECT_EQ(comm_rows[i].Find("bytes")->IntOr(-1), comms[i].bytes) << i;
+    EXPECT_EQ(comm_rows[i].Find("rel_err")->NumberOr(0.0), comms[i].rel_err);
+  }
 }
 
 }  // namespace

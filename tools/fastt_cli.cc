@@ -327,8 +327,7 @@ int CmdRun(const Args& args) {
               "strategy time, %.3f s algorithm wall time\n",
               ft.rounds, ft.rollbacks, ft.strategy_time_s,
               ft.algorithm_time_s);
-  std::printf("  bootstrap: %s; splits: %zu\n",
-              ft.started_model_parallel ? "model parallel" : "data parallel",
+  std::printf("  bootstrap: %s; splits: %zu\n", ft.start_strategy.c_str(),
               ft.strategy.splits.size());
   for (const SplitDecision& s : ft.strategy.splits)
     std::printf("    split %s %s x%d\n", s.op_name.c_str(),
