@@ -1,9 +1,10 @@
 // The paper's §7 extension implemented: GPipe-style micro-batch pipelining
-// on top of a layer-wise model-parallel cut. Naive model parallelism keeps
-// only one device busy at a time; splitting the mini-batch into M
+// on top of a stage cut balanced by profiled time. Naive model parallelism
+// keeps only one device busy at a time; splitting the mini-batch into M
 // micro-batches lets stage s of micro-batch m overlap stage s-1 of
 // micro-batch m+1. Synchronous semantics are preserved (all micro-batch
-// gradients aggregate before the single weight update).
+// gradients aggregate before the single weight update). Each M is profiled
+// and cut on its own graph, so M may exceed the GPU count.
 //
 //   $ ./build/examples/pipeline_parallel [model] [gpus] [batch]
 #include <cstdio>

@@ -9,8 +9,9 @@ and checks (stdlib only):
   * stdout carries the search phase self-time table;
   * the fastt-report/1 bundle names the command and model and has every
     headline section, with non-empty metric counters and trace phases;
-  * the memstat section saw allocations overall and in the graph and
-    sim/events tags (all-zero stats would mean the allocator
+  * the metrics section's heap gauges saw allocations overall
+    (mem/total/*) and in the graph and sim/events tags (mem/graph/allocs,
+    mem/sim_events/allocs; all-zero stats would mean the allocator
     instrumentation came unwired);
   * the Chrome trace holds "X" spans and the heap tracker's
     mem/total/live_bytes counter track.
@@ -24,7 +25,7 @@ import subprocess
 import sys
 
 SECTIONS = ("params", "metrics", "events", "trace_phases", "verify",
-            "calibration", "memstat")
+            "calibration")
 
 
 def check(fastt: str, report_path: str, trace_path: str) -> list:
@@ -52,12 +53,11 @@ def check(fastt: str, report_path: str, trace_path: str) -> list:
         errors.append("empty counters")
     if not doc["trace_phases"]:
         errors.append("empty trace summary")
-    memstat = doc["memstat"]
-    if memstat["total_allocs"] <= 0 or memstat["total_peak_bytes"] <= 0:
-        errors.append("memstat saw no allocations")
-    for tag in ("graph", "sim/events"):
-        if memstat["tags"].get(tag, {}).get("allocs", 0) <= 0:
-            errors.append(f"memstat tag {tag!r} saw no allocations")
+    gauges = doc["metrics"]["gauges"]
+    for gauge in ("mem/total/allocs", "mem/total/peak_bytes",
+                  "mem/graph/allocs", "mem/sim_events/allocs"):
+        if gauges.get(gauge, 0) <= 0:
+            errors.append(f"gauge {gauge} saw no allocations")
 
     with open(trace_path, encoding="utf-8") as f:
         events = json.load(f)["traceEvents"]

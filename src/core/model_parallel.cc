@@ -6,6 +6,13 @@
 #include "util/check.h"
 
 namespace fastt {
+namespace {
+
+bool IsSource(const Operation& op) {
+  return op.type == OpType::kVariable || op.type == OpType::kInput;
+}
+
+}  // namespace
 
 bool FitsOnOneDevice(const Graph& g, const Cluster& cluster) {
   int64_t need = 0;
@@ -37,12 +44,9 @@ std::vector<DeviceId> GreedyModelParallelPlacement(const Graph& g,
       attributed[static_cast<size_t>(id)] = 0;
     }
   }
-  auto is_source = [&](const Operation& op) {
-    return op.type == OpType::kVariable || op.type == OpType::kInput;
-  };
   for (OpId id : g.LiveOps()) {
     const Operation& op = g.op(id);
-    if (!is_source(op)) continue;
+    if (!IsSource(op)) continue;
     for (OpId consumer : g.Succs(id)) {
       attributed[static_cast<size_t>(consumer)] +=
           attributed[static_cast<size_t>(id)];
@@ -64,7 +68,7 @@ std::vector<DeviceId> GreedyModelParallelPlacement(const Graph& g,
   int64_t used = 0;
   for (OpId id : order) {
     const Operation& op = g.op(id);
-    if (op.is_backward || is_source(op)) continue;
+    if (op.is_backward || IsSource(op)) continue;
     if (op.colocate_with != kInvalidOp &&
         placement[static_cast<size_t>(op.colocate_with)] != kInvalidDevice) {
       placement[static_cast<size_t>(id)] =
@@ -82,63 +86,69 @@ std::vector<DeviceId> GreedyModelParallelPlacement(const Graph& g,
     used += need;
   }
 
-  // Pass 1.5: variables and inputs live with their first placed consumer.
+  // Pass 2: variables and inputs live with their first placed consumer, and
+  // backward ops run where the forward activations they consume live —
+  // gradients of layer k execute on layer k's device, so activations never
+  // cross the cut.
+  AnchorSourcesAndBackward(g, order, placement);
+  return placement;
+}
+
+void AnchorSourcesAndBackward(const Graph& g, const std::vector<OpId>& order,
+                              std::vector<int32_t>& where) {
+  auto at = [&](OpId id) -> int32_t& {
+    return where[static_cast<size_t>(id)];
+  };
+  auto live = [&](EdgeId e, OpId other) {
+    return !g.edge(e).dead && !g.op(other).dead;
+  };
   for (OpId id : order) {
-    const Operation& op = g.op(id);
-    if (!is_source(op)) continue;
-    DeviceId chosen = 0;
-    for (OpId consumer : g.Succs(id)) {
-      const DeviceId cd = placement[static_cast<size_t>(consumer)];
-      if (cd != kInvalidDevice) {
-        chosen = cd;
+    if (!IsSource(g.op(id))) continue;
+    int32_t chosen = 0;
+    for (EdgeId e : g.out_edges(id)) {
+      const OpId consumer = g.edge(e).dst;
+      if (live(e, consumer) && at(consumer) >= 0) {
+        chosen = at(consumer);
         break;
       }
     }
-    placement[static_cast<size_t>(id)] = chosen;
+    at(id) = chosen;
   }
-
-  // Pass 2: backward ops run where the forward activations they consume
-  // live — gradients of layer k execute on layer k's device, so activations
-  // never cross the cut. Topological order guarantees some predecessor is
-  // already placed.
+  // Topological order places every predecessor first.
   for (OpId id : order) {
-    const Operation& op = g.op(id);
-    if (!op.is_backward) continue;
-    if (op.colocate_with != kInvalidOp &&
-        placement[static_cast<size_t>(op.colocate_with)] != kInvalidDevice) {
-      placement[static_cast<size_t>(id)] =
-          placement[static_cast<size_t>(op.colocate_with)];
+    if (at(id) >= 0) continue;
+    const OpId target = g.op(id).colocate_with;
+    if (target != kInvalidOp && at(target) >= 0) {
+      at(id) = at(target);
       continue;
     }
-    DeviceId chosen = kInvalidDevice;
+    int32_t chosen = -1;
     // A weight gradient feeds an optimizer update pinned to its variable:
     // run it there (the gradient tensor is usually far larger than the
     // activations it reads).
-    for (OpId succ : g.Succs(id)) {
+    for (EdgeId e : g.out_edges(id)) {
+      const OpId succ = g.edge(e).dst;
+      if (!live(e, succ)) continue;
       const OpId anchor = g.op(succ).colocate_with;
-      if (anchor == kInvalidOp) continue;
-      const DeviceId ad = placement[static_cast<size_t>(anchor)];
-      if (ad != kInvalidDevice) {
-        chosen = ad;
+      if (anchor != kInvalidOp && at(anchor) >= 0) {
+        chosen = at(anchor);
         break;
       }
     }
-    if (chosen == kInvalidDevice) {
-      for (OpId pred : g.Preds(id)) {
-        const DeviceId pd = placement[static_cast<size_t>(pred)];
-        if (pd == kInvalidDevice) continue;
+    if (chosen < 0) {
+      for (EdgeId e : g.in_edges(id)) {
+        const OpId pred = g.edge(e).src;
+        if (!live(e, pred) || at(pred) < 0) continue;
         // Prefer a forward predecessor (the activation's home).
         if (!g.op(pred).is_backward) {
-          chosen = pd;
+          chosen = at(pred);
           break;
         }
-        if (chosen == kInvalidDevice) chosen = pd;
+        if (chosen < 0) chosen = at(pred);
       }
     }
-    placement[static_cast<size_t>(id)] =
-        chosen != kInvalidDevice ? chosen : 0;
+    at(id) = std::max(chosen, 0);
   }
-  return placement;
 }
 
 }  // namespace fastt

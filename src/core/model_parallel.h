@@ -23,4 +23,14 @@ bool FitsOnOneDevice(const Graph& g, const Cluster& cluster);
 std::vector<DeviceId> GreedyModelParallelPlacement(const Graph& g,
                                                    const Cluster& cluster);
 
+// Anchors what a layer-wise cut leaves out. `where` holds one int32 per slot
+// (a device or a segment), -1 while unassigned; `order` is a topological
+// order of g's live ops. Each variable and input goes with its first assigned
+// consumer (else 0). Then each op still unassigned goes with its colocation
+// target, else with the colocation target of a successor (a weight gradient
+// runs beside its variable's update), else with its first assigned forward
+// predecessor, else with its first assigned predecessor, else 0.
+void AnchorSourcesAndBackward(const Graph& g, const std::vector<OpId>& order,
+                              std::vector<int32_t>& where);
+
 }  // namespace fastt

@@ -100,16 +100,6 @@ double MeasureSteps(const Graph& g, const std::vector<DeviceId>& placement,
   return total / iters;
 }
 
-// A start strategy on the base graph: a placement, the order it is returned
-// with, and what its measured steps showed.
-struct Start {
-  const char* name;
-  std::vector<DeviceId> placement;
-  std::vector<OpId> order;
-  double measured_s = 0.0;
-  bool oom = false;
-};
-
 // Communication probe: a throwaway graph whose edges exercise every ordered
 // device pair at two tensor sizes, so each pair's linear regression can
 // recover latency and bandwidth. This is the paper's "try out different
@@ -179,6 +169,15 @@ int CountReplacedOps(const Graph& a, const std::vector<DeviceId>& pa,
 }
 
 }  // namespace
+
+double BootstrapProfile(const Graph& g, const std::vector<DeviceId>& placement,
+                        const Cluster& cluster,
+                        const CalculatorOptions& options, CompCostModel& comp,
+                        CommCostModel& comm, double* wall, bool* oom) {
+  return ProfileSteps(g, placement, {}, DispatchMode::kRandom, cluster,
+                      options.profile_iterations, options.noise_cv,
+                      options.seed, comp, comm, wall, oom);
+}
 
 double SamplesPerSecond(const CalculatorResult& result) {
   return static_cast<double>(result.global_batch) /
@@ -263,18 +262,14 @@ CalculatorResult RunFastT(const ModelBuildFn& build,
   const bool fits = FitsOnOneDevice(probe, cluster);
 
   Graph base;
-  std::vector<Start> starts;
-  if (fits && cluster.num_devices() > 1) {
+  std::vector<StartStrategy>& starts = result.starts;
+  const bool replicated = fits && cluster.num_devices() > 1;
+  if (replicated) {
     DataParallelGraph dp = BuildDataParallel(build, model_name, batch,
                                              cluster.num_devices(), scaling);
     result.global_batch = dp.global_batch;
-    // Two starts on the one graph: shared-variable DP, and the GPipe-style
-    // pipeline with one micro-batch per replica (with M = |D| micro-batches
-    // the pipeline graph is this DP graph).
     starts.push_back({"data_parallel", CanonicalDataParallelPlacement(dp),
                       dp.graph.TopoOrder()});
-    starts.push_back({"pipeline", PipelinePlacement(dp.graph, cluster),
-                      MicroBatchMajorOrder(dp.graph)});
     base = std::move(dp.graph);
   } else {
     // Single device, or model too large to replicate: operate on the bare
@@ -301,10 +296,30 @@ CalculatorResult RunFastT(const ModelBuildFn& build,
   // The bootstrap profile runs the first start under the default executor
   // (random dispatch, TF's inter-op pool) and alone seeds the cost models.
   bool bootstrap_oom = false;
-  const double bootstrap_s = ProfileSteps(
-      base, starts[0].placement, {}, DispatchMode::kRandom, cluster,
-      options.profile_iterations, options.noise_cv, options.seed, result.comp,
-      result.comm, &result.strategy_time_s, &bootstrap_oom);
+  const double bootstrap_s = BootstrapProfile(
+      base, starts[0].placement, cluster, options, result.comp, result.comm,
+      &result.strategy_time_s, &bootstrap_oom);
+  if (replicated) {
+    // The GPipe-style pipeline with one micro-batch per replica (with
+    // M = |D| micro-batches the pipeline graph is this DP graph), its stages
+    // cut by the bootstrap profile over every device and, on several servers,
+    // over the first k servers' devices for each k < S: a cut that crosses
+    // the slow inter-server link can lose to one that stays off it.
+    const PipelineSegments segments =
+        SegmentPipeline(base, cluster, result.comp);
+    const double headroom = options.os_dpos.dpos.memory_headroom;
+    starts.push_back({"pipeline",
+                      PipelinePlacement(segments, cluster,
+                                        cluster.num_devices(), headroom),
+                      segments.order});
+    for (DeviceId n = 1, k = 0; n < cluster.num_devices(); ++n) {
+      if (cluster.device(n).server == cluster.device(n - 1).server) continue;
+      ++k;
+      starts.push_back(
+          {StrFormat("pipeline_%d_server%s", k, k == 1 ? "" : "s"),
+           PipelinePlacement(segments, cluster, n, headroom), segments.order});
+    }
+  }
 
   // With several starts, each is measured as it would be returned: under
   // its declared order when order enforcement is on, as the rounds are.
@@ -312,7 +327,7 @@ CalculatorResult RunFastT(const ModelBuildFn& build,
   const bool enforce = starts.size() > 1 && options.enable_order_enforcement;
   const DispatchMode start_dispatch =
       enforce ? DispatchMode::kPriority : DispatchMode::kRandom;
-  auto start_priorities = [&](const Start& s) {
+  auto start_priorities = [&](const StartStrategy& s) {
     return enforce ? PrioritiesFromOrder(s.order, base.num_slots())
                    : std::vector<int64_t>{};
   };
@@ -320,7 +335,7 @@ CalculatorResult RunFastT(const ModelBuildFn& build,
     starts[0].measured_s = bootstrap_s;
     starts[0].oom = bootstrap_oom;
   } else {
-    for (Start& s : starts) {
+    for (StartStrategy& s : starts) {
       s.measured_s = MeasureSteps(
           base, s.placement, start_priorities(s), start_dispatch, cluster,
           options.profile_iterations, options.noise_cv, options.seed + 524287,
@@ -337,7 +352,7 @@ CalculatorResult RunFastT(const ModelBuildFn& build,
       chosen = i;
   // Switching away from the profiled start is one more restart.
   if (chosen != 0) result.strategy_time_s += options.restart_overhead_s;
-  const Start& start = starts[chosen];
+  const StartStrategy& start = starts[chosen];
   result.start_strategy = start.name;
 
   Graph current_graph = base;
@@ -357,9 +372,9 @@ CalculatorResult RunFastT(const ModelBuildFn& build,
         .Int("profile_iterations", options.profile_iterations)
         .Number("measured_iteration_s", current_measured)
         .Bool("oom", current_oom);
-    for (const Start& s : starts)
-      event.Number(std::string(s.name) + "_measured_s", s.measured_s)
-          .Bool(std::string(s.name) + "_oom", s.oom);
+    for (const StartStrategy& s : starts)
+      event.Number(s.name + "_measured_s", s.measured_s)
+          .Bool(s.name + "_oom", s.oom);
   }
 
   for (int round = 0; round < options.max_rounds; ++round) {

@@ -1,13 +1,13 @@
 // StrategyCalculator — the FastT workflow (paper §4).
 //
-// Pre-training stage: start from the faster of data parallelism and a
-// micro-batch pipeline on the same replica graph (or from greedy model
-// parallelism if the model cannot fit one GPU), run a few profiled
-// iterations, update the adaptive cost models, compute a new strategy with
-// OS-DPOS, activate it (checkpoint + restart, accounted as overhead), and
-// roll back if the measured per-iteration time regressed. Stop when the
-// computation cost model is stable. Profiled execution comes from the
-// simulated testbed; FastT's algorithms only ever see the profiles.
+// Pre-training stage: profile data parallelism, start from the fastest of it
+// and the micro-batch pipelines cut by that profile on the same replica graph
+// (or from greedy model parallelism if the model cannot fit one GPU), run a
+// few profiled iterations, update the adaptive cost models, compute a new
+// strategy with OS-DPOS, activate it (checkpoint + restart, accounted as
+// overhead), and roll back if the measured per-iteration time regressed.
+// Stop when the computation cost model is stable. Profiled execution comes
+// from the simulated testbed; FastT's algorithms only ever see the profiles.
 #pragma once
 
 #include <cstdint>
@@ -91,6 +91,16 @@ struct RoundSummary {
   std::string verify_reject_rule;  // first error rule id, "" when clean
 };
 
+// A start strategy RunFastT measured at bootstrap, on its base graph: the
+// DP graph, or the bare model when one replica does not fit one GPU.
+struct StartStrategy {
+  std::string name;
+  std::vector<DeviceId> placement;
+  std::vector<OpId> order;  // the order it is measured and returned with
+  double measured_s = 0.0;
+  bool oom = false;
+};
+
 struct CalculatorResult {
   Graph graph;       // final training graph (with committed splits)
   Strategy strategy; // final placement / order / split list
@@ -107,8 +117,11 @@ struct CalculatorResult {
   int rounds = 0;
   int rollbacks = 0;
   int activations = 0;
-  // The start strategy chosen at bootstrap: "data_parallel", "pipeline" or
+  // Every start strategy measured at bootstrap, and the name of the one
+  // chosen: "data_parallel", "pipeline" (stages cut over every device),
+  // "pipeline_<k>_server[s]" (over the first k servers' devices) or
   // "model_parallel" (the model does not fit one GPU).
+  std::vector<StartStrategy> starts;
   std::string start_strategy;
   CompCostModel comp;
   CommCostModel comm;
@@ -137,6 +150,18 @@ CalculatorResult RunFastT(const ModelBuildFn& build,
                           const std::string& model_name, int64_t batch,
                           Scaling scaling, const Cluster& cluster,
                           const CalculatorOptions& options = {});
+
+// The bootstrap profile that seeds RunFastT's cost models:
+// options.profile_iterations steps of (g, placement) with options.noise_cv
+// under random dispatch (TF's default executor), step i seeded
+// options.seed + 7919 i and folded into `comp` and `comm` in step order.
+// Returns the mean iteration time, adds the steps' simulated time to *wall
+// and sets *oom when a step runs out of memory.
+double BootstrapProfile(const Graph& g, const std::vector<DeviceId>& placement,
+                        const Cluster& cluster,
+                        const CalculatorOptions& options, CompCostModel& comp,
+                        CommCostModel& comm, double* wall = nullptr,
+                        bool* oom = nullptr);
 
 // The data-parallel baseline measured the same way (FIFO executor, canonical
 // placement); shares the result type for easy comparison.

@@ -65,9 +65,12 @@ void CompCostModel::EstimateRow(const Operation& op, int32_t num_devices,
 
 double CompCostModel::MaxTimeOverDevices(const Operation& op,
                                          int32_t num_devices) const {
+  const PerDevice* exact = Find(op.CostKey());
+  const PerDevice* basis =
+      op.cost_basis_key.empty() ? nullptr : Find(op.cost_basis_key);
   double best = 0.0;
   for (DeviceId d = 0; d < num_devices; ++d)
-    best = std::max(best, EstimateOrExplore(op, d));
+    best = std::max(best, Estimate(exact, basis, op.cost_scale, d));
   return best;
 }
 

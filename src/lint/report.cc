@@ -55,7 +55,7 @@ const std::vector<RuleInfo>& RuleCatalog() {
       {"fastt-A1", Severity::kWarning,
        "heap containers in memtrack-covered subsystems must be tagged",
        "untagged allocations escape the per-tag live/peak accounting "
-       "(DESIGN.md §13), so the report's memstat section under-counts "
+       "(DESIGN.md §13), so the report's mem/* gauges under-count "
        "and the bench-diff allocation gates lose coverage"},
   };
   return *catalog;

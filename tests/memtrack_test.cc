@@ -143,7 +143,7 @@ TEST(MemTrackDisabled, EqualityComparesTags) {
 // Building a real model graph must charge the graph tag, and simulating it
 // must charge sim/events — the two hot subsystems the telemetry exists to
 // watch. This is the library-level half of the `cli_report_sections`
-// check on the report's memstat section.
+// check on the report's mem/graph/allocs and mem/sim_events/allocs gauges.
 TEST(MemTrackZoo, GraphBuildAndSimulateChargeTheirTags) {
   MemTracker& mt = MemTracker::Global();
   mt.Enable();

@@ -46,11 +46,11 @@
 //       Run the full FastT workflow inside a fresh TelemetryContext with the
 //       tracer, heap tracker and sampling CPU profiler on, print the search
 //       phase self-time table and the top CPU frames, and write the richest
-//       fastt-report/1 bundle: metrics, workflow events, calibration,
-//       verifier summary, memstat totals, trace phase self-times and the CPU
-//       profile in one JSON document. With --trace-search the same trace is
-//       also written as a Chrome trace, with mem/<tag>/live_bytes counter
-//       tracks next to the spans.
+//       fastt-report/1 bundle: metrics (the mem/<tag>/* heap gauges among
+//       them), workflow events, calibration, verifier summary, trace phase
+//       self-times and the CPU profile in one JSON document. With
+//       --trace-search the same trace is also written as a Chrome trace,
+//       with mem/<tag>/live_bytes counter tracks next to the spans.
 //
 // Every command also accepts `--jobs N` (or FASTT_JOBS=N) to parallelize the
 // strategy search across N threads — the computed strategy is bit-identical
@@ -417,19 +417,29 @@ int CmdCompare(const Args& args) {
     const SimResult r = Simulate(g, placement, cluster);
     row("model parallel (layer cut)", r.makespan, r.oom);
   }
+  // The pipeline FastT starts from and FastT's returned strategy, each
+  // noise-free under its declared order (ResimulateIteration's evaluation).
+  auto enforced = [&](const Graph& g, const std::vector<DeviceId>& placement,
+                      const std::vector<int64_t>& priorities) {
+    SimOptions so;
+    so.dispatch = DispatchMode::kPriority;
+    so.priorities = priorities;
+    const SimResult r = Simulate(g, placement, cluster, so);
+    return std::make_pair(r.makespan, r.oom);
+  };
   {
     const auto p = BuildPipeline(spec.build, spec.name, batch,
                                  cluster.num_devices(), cluster);
-    SimOptions so;
-    so.dispatch = DispatchMode::kPriority;
-    so.priorities = p.priorities;
-    const SimResult r = Simulate(p.graph, p.placement, cluster, so);
+    const auto [makespan, oom] = enforced(p.graph, p.placement, p.priorities);
     row(StrFormat("pipeline (%d micro-batches)", cluster.num_devices()),
-        r.makespan, r.oom);
+        makespan, oom);
   }
   const auto ft = RunFastT(spec.build, spec.name, batch, Scaling::kStrong,
                            cluster, options);
-  row("FastT", ft.iteration_s, ft.final_sim.oom);
+  const auto [makespan, oom] = enforced(
+      ft.graph, ft.strategy.placement,
+      PrioritiesFromOrder(ft.strategy.execution_order, ft.graph.num_slots()));
+  row("FastT", makespan, oom);
   table.Print();
   return 0;
 }
@@ -741,27 +751,6 @@ int CmdReport(const Args& args) {
     report.AddSection("calibration",
                       CalibrationToJson(spec.name, ft.calibration));
   report.AddSection("verify", DiagnosticsToJson(ft.graph, verify));
-  {
-    // Whole-run heap rollup; the trace's mem/<tag>/live_bytes tracks show
-    // it over time.
-    JsonWriter w;
-    w.BeginObject();
-    w.Key("total_peak_bytes").Int(mem.total_peak_bytes());
-    w.Key("total_allocs").Int(mem.total_allocs());
-    w.Key("tags").BeginObject();
-    for (size_t t = 0; t < kNumMemTags; ++t) {
-      const MemTagStats s = mem.stats(static_cast<MemTag>(t));
-      if (s.allocs == 0 && s.frees == 0) continue;
-      w.Key(MemTagName(static_cast<MemTag>(t))).BeginObject();
-      w.Key("peak_bytes").Int(s.peak_bytes);
-      w.Key("allocs").Int(s.allocs);
-      w.Key("alloc_bytes").Int(s.alloc_bytes);
-      w.EndObject();
-    }
-    w.EndObject();
-    w.EndObject();
-    report.AddSection("memstat", w.str());
-  }
   if (profiling && prof.samples_total > 0)
     report.AddSection(
         "profile",
