@@ -4,12 +4,14 @@
 // paper-vs-measured comparison).
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "core/portfolio.h"
 #include "core/strategy_calculator.h"
 #include "models/model_zoo.h"
 #include "obs/bench_history.h"
@@ -51,12 +53,19 @@ struct Cell {
 };
 
 // Every measured cell, in measurement order, for the optional JSON report.
+// Besides the two speeds it carries the quality of FastT's returned
+// strategy: its noise-free replay (ResimulateIteration; infinite when it
+// runs out of memory) and the search's round counts.
 struct CellRecord {
   std::string model;
   std::string cluster;
   int64_t batch = 0;
   Scaling scaling = Scaling::kStrong;
   Cell cell;
+  double fastt_replay_s = 0.0;
+  int rounds = 0;
+  int committed_rounds = 0;
+  int oom_rollbacks = 0;
 };
 
 inline std::vector<CellRecord>& CellRecords() {
@@ -75,8 +84,18 @@ inline Cell MeasureCell(const ModelSpec& spec, const Cluster& cluster,
   const auto ft =
       RunFastT(spec.build, spec.name, batch, scaling, cluster, options);
   cell.fastt = ft.final_sim.oom ? 0.0 : SamplesPerSecond(ft);
-  CellRecords().push_back(
-      {spec.name, cluster.ToString(), batch, scaling, cell});
+  CellRecord record{spec.name, cluster.ToString(), batch, scaling, cell};
+  SearchResult returned;
+  returned.graph = ft.graph;
+  returned.placement = ft.strategy.placement;
+  returned.execution_order = ft.strategy.execution_order;
+  record.fastt_replay_s = ResimulateIteration(returned, cluster);
+  record.rounds = ft.rounds;
+  for (const RoundSummary& round : ft.round_history) {
+    record.committed_rounds += round.committed ? 1 : 0;
+    record.oom_rollbacks += round.oom ? 1 : 0;
+  }
+  CellRecords().push_back(std::move(record));
   return cell;
 }
 
@@ -98,17 +117,25 @@ inline void MaybeWriteBenchJson(const std::string& bench_name) {
         {"batch", StrFormat("%lld", (long long)r.batch)},
         {"scaling", r.scaling == Scaling::kStrong ? "strong" : "weak"},
     };
-    BenchMetricSeries dp;
-    dp.name = "dp_samples_per_s";
-    dp.unit = "samples/s";
-    dp.lower_is_better = false;
-    dp.samples = {r.cell.dp};
-    BenchMetricSeries ft;
-    ft.name = "fastt_samples_per_s";
-    ft.unit = "samples/s";
-    ft.lower_is_better = false;
-    ft.samples = {r.cell.fastt};
-    report.metrics = {std::move(dp), std::move(ft)};
+    auto add = [&](const char* name, const char* unit, bool lower_is_better,
+                   double value) {
+      BenchMetricSeries series;
+      series.name = name;
+      series.unit = unit;
+      series.lower_is_better = lower_is_better;
+      series.samples = {value};
+      report.metrics.push_back(std::move(series));
+    };
+    add("dp_samples_per_s", "samples/s", false, r.cell.dp);
+    add("fastt_samples_per_s", "samples/s", false, r.cell.fastt);
+    // An OOM strategy has no replay time: the series is left out and the
+    // flag says why.
+    const bool oom = !std::isfinite(r.fastt_replay_s);
+    if (!oom) add("fastt_replay_s", "s", true, r.fastt_replay_s);
+    add("fastt_oom", "flag", true, oom ? 1.0 : 0.0);
+    add("fastt_rounds", "count", true, r.rounds);
+    add("fastt_committed_rounds", "count", false, r.committed_rounds);
+    add("fastt_oom_rollbacks", "count", true, r.oom_rollbacks);
     doc.reports.push_back(std::move(report));
   }
   doc.process_metrics_json = MetricsRegistry::Global().ToJson();

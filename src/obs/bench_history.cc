@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -203,13 +204,18 @@ BenchDiffResult DiffBenchReports(const BenchHistoryDoc& old_doc,
       old_cells.erase(it);
       entry.old_median = old_m.median;
       entry.old_samples = static_cast<int>(old_m.samples.size());
-      if (old_m.median == 0.0) {
-        // Degenerate baseline; nothing meaningful to compare against.
+      if (old_m.median == m.median) {
         entry.verdict = Verdict::kOk;
         result.entries.push_back(entry);
         continue;
       }
-      const double raw = (m.median - old_m.median) / old_m.median;
+      // A zero baseline has no scale: a move off it (a 0/1 flag turning
+      // on, say) is unboundedly worse or better.
+      const double raw =
+          old_m.median == 0.0
+              ? (m.median > 0.0 ? 1.0 : -1.0) *
+                    std::numeric_limits<double>::infinity()
+              : (m.median - old_m.median) / old_m.median;
       entry.rel_delta = m.lower_is_better ? raw : -raw;  // >0 = worse
       // Comparisons get a ulp of slack so a delta that is exactly the
       // threshold (up to rounding of the division) still counts.

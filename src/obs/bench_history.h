@@ -15,7 +15,8 @@
 // documents and compares medians: a relative delta in the bad direction of
 // at least `threshold` is a warning, `threshold * hard_factor` a hard
 // regression — but hard only when both sides have at least `min_repeats`
-// samples, so a single noisy run can warn yet never fail CI by itself.
+// samples, so a single noisy run can warn yet never fail CI by itself. A
+// move off a zero baseline counts as an unbounded relative delta.
 #pragma once
 
 #include <cstdint>

@@ -257,6 +257,13 @@ SimResult Simulate(const Graph& g, const std::vector<DeviceId>& placement,
 
   for (int32_t d = 0; d < cluster.num_devices(); ++d) try_dispatch(d, 0.0);
 
+  // Events are applied one by one, in canonical order, and dispatch waits
+  // for the end of their instant: only once no event at `now` is left do
+  // the devices the instant freed or handed a ready op pick their next ops,
+  // in ascending id. Every other device is busy or has nothing ready. A
+  // zero-duration op dispatched then finishes at `now`, so the instant goes
+  // on.
+  TaggedVector<DeviceId> touched;
   size_t finished = 0;
   while (!events.empty()) {
     const Event ev = events.top();
@@ -316,7 +323,7 @@ SimResult Simulate(const Graph& g, const std::vector<DeviceId>& placement,
         }
       }
       dev[static_cast<size_t>(d)].busy = false;
-      try_dispatch(d, now);
+      touched.push_back(d);
     } else {  // arrival at consumer `op`
       const auto e = static_cast<size_t>(ev.edge());
       const OpId src = producer[e];
@@ -331,8 +338,13 @@ SimResult Simulate(const Graph& g, const std::vector<DeviceId>& placement,
       FASTT_CHECK(s.pending > 0);
       if (--s.pending == 0) {
         push_ready(op);
-        try_dispatch(d, now);
+        touched.push_back(d);
       }
+    }
+    if (events.empty() || events.top().time != now) {
+      std::sort(touched.begin(), touched.end());
+      for (DeviceId t : touched) try_dispatch(t, now);
+      touched.clear();
     }
   }
 

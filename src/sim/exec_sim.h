@@ -109,6 +109,20 @@ struct SimResult {
 // goldens pin it, and tests/sim_golden_test.cc pins every SimResult field
 // over the zoo.
 //
+// Dispatch sees the whole instant. Every event at one timestamp is applied,
+// in the canonical order (which alone decides memory accounting and
+// copy-engine booking within the instant), before any idle device picks an
+// op. Then each idle device takes the best-ranked op of its ready queue, in
+// ascending device id; an op that finishes at that same timestamp (zero
+// duration) is applied within the instant and the idle devices choose again.
+// So an op that becomes ready at the instant a device frees up, such as the
+// same-device consumer of the op that just finished, competes for the
+// device with everything already queued. Under FIFO the outcome is the one
+// of dispatching at each event: the key is arrival order, so an op that
+// arrives later in the instant never outranks one already queued. Same-device
+// arrivals are not delivered inline at the finish: that would push them
+// ahead of earlier same-instant arrivals and reorder FIFO's arrival sequence.
+//
 // Each call first builds a dense view of the live subgraph (per-op state and
 // CSR adjacency, in each op's edge-list order) and then runs an event loop
 // that allocates only to grow its queues and the result. Nothing is cached

@@ -130,6 +130,34 @@ TEST(BenchDiff, HigherIsBetterFlipsTheSign) {
   EXPECT_EQ(better.entries[0].verdict, BenchDiffEntry::Verdict::kImproved);
 }
 
+// A 0/1 flag that was off has a zero baseline, so turning it on is an
+// unbounded move: a hard regression for a lower-is-better flag whatever the
+// threshold. Staying off is no change.
+TEST(BenchDiff, FlagLeavingZeroIsUnbounded) {
+  auto make = [](double value) {
+    BenchHistoryDoc doc;
+    BenchReport report;
+    report.benchmark = "bench_table1";
+    report.params = {{"model", "bert_large"}, {"cluster", "1x8"}};
+    BenchMetricSeries series;
+    series.name = "fastt_oom";
+    series.unit = "flag";
+    series.samples = {value};
+    report.metrics.push_back(std::move(series));
+    doc.reports.push_back(std::move(report));
+    return doc;
+  };
+  BenchDiffOptions gate;
+  gate.threshold = 1e6;
+  gate.min_repeats = 1;
+  const BenchDiffResult on = DiffBenchReports(make(0.0), make(1.0), gate);
+  ASSERT_EQ(on.entries.size(), 1u);
+  EXPECT_EQ(on.entries[0].verdict, BenchDiffEntry::Verdict::kHardRegression);
+  const BenchDiffResult off = DiffBenchReports(make(0.0), make(0.0), gate);
+  EXPECT_EQ(off.entries[0].verdict, BenchDiffEntry::Verdict::kOk);
+  EXPECT_EQ(off.entries[0].rel_delta, 0.0);
+}
+
 // Allocation metrics ride the same (benchmark, params, name) matching as
 // timing metrics, so an injected allocation-count regression hard-fails the
 // diff exactly like a slowdown — and byte-valued cells render human-readable.

@@ -157,24 +157,24 @@ TEST_P(DposGolden, DefaultOptions) {
 INSTANTIATE_TEST_SUITE_P(
     Zoo, DposGolden,
     ::testing::Values(
-        GoldenCase{"lenet", 1, 8, 0xd6b59817c41715e9ULL},
-        GoldenCase{"lenet", 2, 8, 0xe5914510abccbef1ULL},
-        GoldenCase{"alexnet", 1, 8, 0x9f49a5d373ab668dULL},
-        GoldenCase{"alexnet", 2, 8, 0x5a670b2941d9bc20ULL},
-        GoldenCase{"vgg19", 1, 8, 0x28ca54c89a9c0152ULL},
-        GoldenCase{"vgg19", 2, 8, 0xefa41a24bbf62d04ULL},
-        GoldenCase{"inception_v3", 1, 8, 0x85e4372a4155aa2fULL},
-        GoldenCase{"inception_v3", 2, 8, 0x793f1b952de6fe71ULL},
-        GoldenCase{"resnet200", 1, 8, 0x3351a487d66894d2ULL},
-        GoldenCase{"resnet200", 2, 8, 0x9d91da064e434680ULL},
-        GoldenCase{"gnmt", 1, 8, 0x97fd1e9865182466ULL},
-        GoldenCase{"gnmt", 2, 8, 0x5dcc482394129454ULL},
-        GoldenCase{"rnnlm", 1, 8, 0xdbdc241feb6eec39ULL},
-        GoldenCase{"rnnlm", 2, 8, 0x5bc4b46762fdb4fcULL},
-        GoldenCase{"transformer", 1, 8, 0x2332985acc0a4aedULL},
-        GoldenCase{"transformer", 2, 8, 0x1a992d65ed306ca5ULL},
+        GoldenCase{"lenet", 1, 8, 0xfdc316ed53f04b42ULL},
+        GoldenCase{"lenet", 2, 8, 0x2376e5f6f97e51dcULL},
+        GoldenCase{"alexnet", 1, 8, 0x53f91489d1c67353ULL},
+        GoldenCase{"alexnet", 2, 8, 0x5b84c90ac8815191ULL},
+        GoldenCase{"vgg19", 1, 8, 0xf6639b4fcbdc8677ULL},
+        GoldenCase{"vgg19", 2, 8, 0xfbe78bba3304a86cULL},
+        GoldenCase{"inception_v3", 1, 8, 0x19bf6fb55e6beb3bULL},
+        GoldenCase{"inception_v3", 2, 8, 0x7859d33fabab0a82ULL},
+        GoldenCase{"resnet200", 1, 8, 0x8ecec90b6fe96828ULL},
+        GoldenCase{"resnet200", 2, 8, 0x1f561707a0165fe2ULL},
+        GoldenCase{"gnmt", 1, 8, 0xfd542c1b28c148bfULL},
+        GoldenCase{"gnmt", 2, 8, 0x48485dd013505826ULL},
+        GoldenCase{"rnnlm", 1, 8, 0x5151855d02e8b456ULL},
+        GoldenCase{"rnnlm", 2, 8, 0x0b8cd97d81d974adULL},
+        GoldenCase{"transformer", 1, 8, 0x5c899d4a042c3429ULL},
+        GoldenCase{"transformer", 2, 8, 0x6c215209d1020f7cULL},
         GoldenCase{"bert_large", 1, 8, 0x760e1e116c4604d1ULL},
-        GoldenCase{"bert_large", 2, 8, 0x655a34290d576840ULL}),
+        GoldenCase{"bert_large", 2, 8, 0xb05cefc4ef0be8eaULL}),
     CaseName);
 
 class DposGoldenOptions : public ::testing::TestWithParam<GoldenCase> {};
@@ -223,15 +223,15 @@ TEST_P(DposGoldenOptions, EveryOptionMatches) {
 
 INSTANTIATE_TEST_SUITE_P(
     Options, DposGoldenOptions,
-    ::testing::Values(GoldenCase{"vgg19", 1, 3, 0xa8f3fbc666485fb1ULL},
-                      GoldenCase{"vgg19", 1, 4, 0x56b0d1d560860025ULL},
-                      GoldenCase{"vgg19", 2, 8, 0x842f5d868c0ded8eULL},
-                      GoldenCase{"gnmt", 1, 3, 0xe4ab049e244a6a8dULL},
-                      GoldenCase{"gnmt", 1, 4, 0xb8f2041d10a76c1cULL},
-                      GoldenCase{"gnmt", 2, 8, 0x85925db692e76e3cULL},
-                      GoldenCase{"transformer", 1, 3, 0x99f62386de30b46aULL},
-                      GoldenCase{"transformer", 1, 4, 0x71c6b9097dfbbd6bULL},
-                      GoldenCase{"transformer", 2, 8, 0xf3896d977fbbc6c1ULL}),
+    ::testing::Values(GoldenCase{"vgg19", 1, 3, 0xbae0e737e69988ccULL},
+                      GoldenCase{"vgg19", 1, 4, 0x9165e8b6ec23ad9aULL},
+                      GoldenCase{"vgg19", 2, 8, 0xdf262ecb59fae566ULL},
+                      GoldenCase{"gnmt", 1, 3, 0x0f7f6b57e918dbd9ULL},
+                      GoldenCase{"gnmt", 1, 4, 0xb3171a6515da0385ULL},
+                      GoldenCase{"gnmt", 2, 8, 0xb957428756ead1ddULL},
+                      GoldenCase{"transformer", 1, 3, 0x1de2b15541b6c973ULL},
+                      GoldenCase{"transformer", 1, 4, 0xbb0589af09327944ULL},
+                      GoldenCase{"transformer", 2, 8, 0xfd8d8bdbeeb35c02ULL}),
     CaseName);
 
 // A hand-built graph whose per-device compute times come from one sample

@@ -199,10 +199,14 @@ TEST(Integration, HeterogeneousDevicesAbsorbMoreWork) {
 // The zoo on one server at 2, 4 and 8 GPUs and on two servers of 4 and 8:
 // RunFastT's returned strategy verifies, fits in memory under its declared
 // order, and is no slower (noise-free) than the best start RunFastT measured
-// that fits, up to 5% for candidates that commit on noisy measurements. The
-// property holds for any round count, so most configs run one round;
-// bert_large/8 and transformer/8, the north-star configs, run at the default
-// options.
+// that fits, up to 5% for candidates that commit on noisy measurements. Each
+// start's OOM flag, from its noisy measured steps, agrees with its
+// noise-free replay. The property holds for any round count, so most configs
+// run one round; bert_large/8 and transformer/8, the north-star configs, run
+// at the default options, and bert_large/8 replays in at most 80 ms: its
+// pipeline start drains the last micro-batch's backward pass without
+// gradient updates cutting in. An executor whose idle device chose before
+// the rest of the instant was applied replays it in 97.8 ms.
 double Resimulate(const Graph& g, const std::vector<DeviceId>& placement,
                   const std::vector<OpId>& order, const Cluster& cluster) {
   SearchResult r;
@@ -228,6 +232,9 @@ void ExpectNoSlowerThanTheBestStart(const std::string& name,
   const double returned = Resimulate(ft.graph, ft.strategy.placement,
                                      ft.strategy.execution_order, cluster);
   ASSERT_TRUE(std::isfinite(returned)) << "the returned strategy is OOM";
+  if (name == "bert_large" && gpus == 8 && servers == 1) {
+    EXPECT_LE(returned, 0.080);
+  }
 
   // Every zoo model fits one GPU at its strong batch, so the starts are
   // shared-variable DP and one pipeline per prefix of servers, all on the
@@ -238,9 +245,11 @@ void ExpectNoSlowerThanTheBestStart(const std::string& name,
   const DataParallelGraph dp = BuildDataParallel(
       spec.build, spec.name, spec.strong_batch, gpus, Scaling::kStrong);
   double best_start = std::numeric_limits<double>::infinity();
-  for (const StartStrategy& s : ft.starts)
-    best_start = std::min(
-        best_start, Resimulate(dp.graph, s.placement, s.order, cluster));
+  for (const StartStrategy& s : ft.starts) {
+    const double replay = Resimulate(dp.graph, s.placement, s.order, cluster);
+    EXPECT_EQ(s.oom, !std::isfinite(replay)) << s.name;
+    best_start = std::min(best_start, replay);
+  }
   if (std::isfinite(best_start)) {
     EXPECT_LE(returned, 1.05 * best_start)
         << StrFormat("returned %.3f ms, best start %.3f ms", returned * 1e3,

@@ -12,26 +12,40 @@
 // endpoints both live) and moves about one op in 16 to a random device.
 // Priorities are drawn from a small range, so equal priorities break ties
 // by arrival. Two more cases turn record_memory_timeline on and
-// track_memory off, and a hand-built case pins the finish-before-arrival
-// rule for events at one instant.
+// track_memory off, and a hand-built case pins that an idle device chooses
+// only after every event of its instant is applied.
 //
 // The golden is a 64-bit FNV-1a over every field of each result: makespan,
 // op records, transfers in push order, busy times, peaks, the OOM flag and
 // devices, the totals and the memory timeline, doubles by their bit
-// patterns. A change to the simulator's internals that claims to keep its
-// output must keep these; a change that means to move the output replaces
-// them (a failure prints the new value) and says why. The goldens assume
-// IEEE-754 doubles without FMA contraction, as on the x86-64 builds the
-// suite runs on.
+// patterns. The FIFO runs hash apart from the random and priority runs, so
+// a dispatch change that keeps FIFO shows it. A change to the simulator's
+// internals that claims to keep its output must keep these; a change that
+// means to move the output replaces them (a failure prints the new value)
+// and says why. The goldens assume IEEE-754 doubles without FMA
+// contraction, as on the x86-64 builds the suite runs on.
+//
+// PriorityDispatch checks the executor contract itself on the perturbed
+// inputs and on RunFastT's pipeline starts: no op starts while a
+// better-ranked op on its device is ready and starts later.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <map>
+#include <queue>
+#include <string>
+#include <tuple>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/data_parallel.h"
+#include "core/pipeline.h"
+#include "core/strategy.h"
 #include "graph/rewrite.h"
 #include "models/model_zoo.h"
 #include "sim/exec_sim.h"
@@ -187,7 +201,8 @@ struct GoldenCase {
   const char* model;
   int servers;
   int gpus_per_server;
-  uint64_t golden;
+  uint64_t fifo_golden;  // the FIFO runs
+  uint64_t golden;       // the random and priority runs
 };
 
 void PrintTo(const GoldenCase& c, std::ostream* os) {
@@ -199,54 +214,89 @@ class SimGolden : public ::testing::TestWithParam<GoldenCase> {};
 TEST_P(SimGolden, EveryResultFieldMatches) {
   const GoldenCase& c = GetParam();
   const SimInput canonical = Canonical(c.model, c.servers, c.gpus_per_server);
-  Fnv1a h;
-  MixRun(h, canonical, Options(DispatchMode::kFifo, 0.0, 1, canonical));
-  MixRun(h, canonical, Options(DispatchMode::kRandom, 0.1, 7, canonical));
+  Fnv1a fifo;
+  Fnv1a scheduled;
+  MixRun(fifo, canonical, Options(DispatchMode::kFifo, 0.0, 1, canonical));
+  MixRun(scheduled, canonical,
+         Options(DispatchMode::kRandom, 0.1, 7, canonical));
 
   const SimInput perturbed = Perturbed(canonical);
   // 2 devices: FIFO, 4: random, 8: priority.
   const auto rotating = static_cast<DispatchMode>(
       std::bit_width(static_cast<unsigned>(canonical.cluster.num_devices())) -
       2);
-  MixRun(h, perturbed, Options(DispatchMode::kPriority, 0.0, 1, perturbed));
-  MixRun(h, perturbed, Options(rotating, 0.1, 8, perturbed));
+  MixRun(scheduled, perturbed,
+         Options(DispatchMode::kPriority, 0.0, 1, perturbed));
+  MixRun(rotating == DispatchMode::kFifo ? fifo : scheduled, perturbed,
+         Options(rotating, 0.1, 8, perturbed));
 
-  EXPECT_EQ(h.value(), c.golden)
+  EXPECT_EQ(fifo.value(), c.fifo_golden)
+      << StrFormat("new FIFO golden 0x%016llx",
+                   static_cast<unsigned long long>(fifo.value()));
+  EXPECT_EQ(scheduled.value(), c.golden)
       << StrFormat("new golden 0x%016llx",
-                   static_cast<unsigned long long>(h.value()));
+                   static_cast<unsigned long long>(scheduled.value()));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Zoo, SimGolden,
     ::testing::Values(
-        GoldenCase{"lenet", 1, 2, 0x4ca7643e4e67ffa1ULL},
-        GoldenCase{"lenet", 1, 4, 0xcffab075dbb1d84eULL},
-        GoldenCase{"lenet", 1, 8, 0x073c59539152c194ULL},
-        GoldenCase{"alexnet", 1, 2, 0xc08584f04861472dULL},
-        GoldenCase{"alexnet", 1, 4, 0x4a857957797ce3baULL},
-        GoldenCase{"alexnet", 1, 8, 0x63f469bdfb30f63cULL},
-        GoldenCase{"vgg19", 1, 2, 0x38051060c2c5930bULL},
-        GoldenCase{"vgg19", 1, 4, 0xec245ca88696a024ULL},
-        GoldenCase{"vgg19", 1, 8, 0x3ec1a2c8b3956853ULL},
-        GoldenCase{"vgg19", 2, 4, 0x94fb0d25856670c8ULL},
-        GoldenCase{"inception_v3", 1, 2, 0x83e487fc42ec1261ULL},
-        GoldenCase{"inception_v3", 1, 4, 0xffad8395641cb4cdULL},
-        GoldenCase{"inception_v3", 1, 8, 0x0b5d863b7be32557ULL},
-        GoldenCase{"resnet200", 1, 2, 0x48f86e3c537c1e7fULL},
-        GoldenCase{"resnet200", 1, 4, 0xb515e676894fb657ULL},
-        GoldenCase{"resnet200", 1, 8, 0xbb34210dcdafcb5dULL},
-        GoldenCase{"gnmt", 1, 2, 0xd8de05e4a347fe52ULL},
-        GoldenCase{"gnmt", 1, 4, 0x75d839c21aaddaadULL},
-        GoldenCase{"gnmt", 1, 8, 0x32ada9b4d58fde5eULL},
-        GoldenCase{"rnnlm", 1, 2, 0x1c6b1f9bd8e59410ULL},
-        GoldenCase{"rnnlm", 1, 4, 0x6f29f05516d7a9a5ULL},
-        GoldenCase{"rnnlm", 1, 8, 0x41ee09fb6a69f403ULL},
-        GoldenCase{"transformer", 1, 2, 0x076ada89c970a665ULL},
-        GoldenCase{"transformer", 1, 4, 0x4b096ab9ff7002f1ULL},
-        GoldenCase{"transformer", 1, 8, 0x5b293e82c6b639c4ULL},
-        GoldenCase{"bert_large", 1, 2, 0x99240d4797ad98f1ULL},
-        GoldenCase{"bert_large", 1, 4, 0x5949db38e173b435ULL},
-        GoldenCase{"bert_large", 1, 8, 0x633f36b2e5ab26d4ULL}),
+        GoldenCase{"lenet", 1, 2, 0x2527400bc952339eULL,
+                   0x40fbeb8146e3fd2dULL},
+        GoldenCase{"lenet", 1, 4, 0xc593055d62434a7cULL,
+                   0x42a49fabcb8b70c4ULL},
+        GoldenCase{"lenet", 1, 8, 0x7ab82bb2f40d632aULL,
+                   0xf3b02c5a6c123371ULL},
+        GoldenCase{"alexnet", 1, 2, 0xdacab2d7d447558aULL,
+                   0xe4df9c04091bd03fULL},
+        GoldenCase{"alexnet", 1, 4, 0x9292dc272c925b36ULL,
+                   0x808f8185fd2b0f59ULL},
+        GoldenCase{"alexnet", 1, 8, 0xdf7c51c19f8585beULL,
+                   0xb1ac5af777e1c83fULL},
+        GoldenCase{"vgg19", 1, 2, 0xe3bf0460daa3a206ULL,
+                   0x3dae9ed12cf2f510ULL},
+        GoldenCase{"vgg19", 1, 4, 0x79b4af23b4595b57ULL,
+                   0xe6011e289ed42a53ULL},
+        GoldenCase{"vgg19", 1, 8, 0x8d3ed7dd25dcaf23ULL,
+                   0xe1bb85853ba24129ULL},
+        GoldenCase{"vgg19", 2, 4, 0x7664d8f948063ec9ULL,
+                   0xc533eab91b1a9124ULL},
+        GoldenCase{"inception_v3", 1, 2, 0x307a253f7a9d402eULL,
+                   0x39d238ffd416f675ULL},
+        GoldenCase{"inception_v3", 1, 4, 0x2b1392235e19ae2aULL,
+                   0x45d2dee38f61110cULL},
+        GoldenCase{"inception_v3", 1, 8, 0x97c23812959d482eULL,
+                   0x77e9402180952387ULL},
+        GoldenCase{"resnet200", 1, 2, 0x23bd149b33686d20ULL,
+                   0x580d58fcc979b5d5ULL},
+        GoldenCase{"resnet200", 1, 4, 0x5d90ccf2a1fbc505ULL,
+                   0x6622be936ab7c5c9ULL},
+        GoldenCase{"resnet200", 1, 8, 0x6f97393da27ab15fULL,
+                   0x3c4b0e4b660b8f99ULL},
+        GoldenCase{"gnmt", 1, 2, 0x5ea2a6608095e07eULL,
+                   0x4dafb6981b5b4878ULL},
+        GoldenCase{"gnmt", 1, 4, 0x4e61eaaf78408887ULL,
+                   0x7e6753eb12ba6c5cULL},
+        GoldenCase{"gnmt", 1, 8, 0x704d42253a594babULL,
+                   0xfc1d009551f49ec7ULL},
+        GoldenCase{"rnnlm", 1, 2, 0x63671f49b49e72d9ULL,
+                   0xec5dd62545643810ULL},
+        GoldenCase{"rnnlm", 1, 4, 0x8649cc992ad4b58dULL,
+                   0x05d5db516d608692ULL},
+        GoldenCase{"rnnlm", 1, 8, 0x075c457809573d90ULL,
+                   0x804a630100edf1bbULL},
+        GoldenCase{"transformer", 1, 2, 0x6eb54539c1ebb1b4ULL,
+                   0xaac424f72eb78d89ULL},
+        GoldenCase{"transformer", 1, 4, 0xf779e2609a17e590ULL,
+                   0x56713c1f8be1b679ULL},
+        GoldenCase{"transformer", 1, 8, 0x4ba4ceea38ac6306ULL,
+                   0x3819b9d18ff2327eULL},
+        GoldenCase{"bert_large", 1, 2, 0x4528f3940637188bULL,
+                   0x409e73a7a4ed7174ULL},
+        GoldenCase{"bert_large", 1, 4, 0xb868181c2c65c335ULL,
+                   0x16de00726b1231e0ULL},
+        GoldenCase{"bert_large", 1, 8, 0x4bd588a6ba468f50ULL,
+                   0xab20e8b7d7c157bdULL}),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
       return StrFormat("%s_%dx%d", info.param.model, info.param.servers,
                        info.param.gpus_per_server);
@@ -260,7 +310,7 @@ TEST(SimGoldenOptions, MemoryTimelineOnAndTrackMemoryOff) {
   timeline.record_memory_timeline = true;
   Fnv1a with_timeline;
   MixRun(with_timeline, in, timeline);
-  EXPECT_EQ(with_timeline.value(), 0xa04ab783d1037ac8ULL)
+  EXPECT_EQ(with_timeline.value(), 0xf9349b08159d2730ULL)
       << StrFormat("new timeline golden 0x%016llx",
                    static_cast<unsigned long long>(with_timeline.value()));
 
@@ -268,20 +318,21 @@ TEST(SimGoldenOptions, MemoryTimelineOnAndTrackMemoryOff) {
   untracked.track_memory = false;
   Fnv1a without_memory;
   MixRun(without_memory, in, untracked);
-  EXPECT_EQ(without_memory.value(), 0xee840fcb10facbe6ULL)
+  EXPECT_EQ(without_memory.value(), 0x5b2b0ce5a754fdabULL)
       << StrFormat("new untracked golden 0x%016llx",
                    static_cast<unsigned long long>(without_memory.value()));
 }
 
-// The zoo never lines a finish up with a cross-device arrival on the same
-// device at one instant, so the kind-before-op rule of the canonical order is
-// pinned on a hand-built case with exact binary timings. Device 1 runs q
-// (2 s) while r (1 s) waits behind it by priority; p finishes on device 0 at
-// 1 s and its tensor lands on device 1 at exactly 2 s, making c, which
-// outranks r, ready at the instant q finishes. The finish goes first, so r
-// takes the device at 2 s and c follows at 3 s, although c's op id is below
-// q's.
-TEST(SimGoldenOptions, FinishRanksBeforeArrivalAtOneInstant) {
+// An idle device picks its next op only after every event of the instant is
+// applied. The zoo never lines a finish up with a cross-device arrival on the
+// same device at one instant, so the rule is pinned on a hand-built case with
+// exact binary timings. Device 1 runs q (2 s) while r (1 s) waits behind it
+// by priority; p finishes on device 0 at 1 s and its tensor lands on device 1
+// at exactly 2 s, making c, which outranks r, ready at the instant q
+// finishes. The finish is applied first, as the canonical order ranks it,
+// but device 1 chooses only after the arrival: c takes it at 2 s and r
+// follows at 3 s.
+TEST(SimGoldenOptions, IdleDeviceSeesEveryEventOfItsInstant) {
   std::vector<Device> devices;
   for (DeviceId d = 0; d < 2; ++d) {
     Device device = MakeV100(d, 0, d);
@@ -315,9 +366,120 @@ TEST(SimGoldenOptions, FinishRanksBeforeArrivalAtOneInstant) {
   ASSERT_EQ(result.transfers.size(), 1u);
   EXPECT_EQ(result.transfers[0].arrival, 2.0);
   EXPECT_EQ(result.op_records[static_cast<size_t>(q)].finish, 2.0);
-  EXPECT_EQ(result.op_records[static_cast<size_t>(r)].start, 2.0);
-  EXPECT_EQ(result.op_records[static_cast<size_t>(c)].start, 3.0);
+  EXPECT_EQ(result.op_records[static_cast<size_t>(c)].start, 2.0);
+  EXPECT_EQ(result.op_records[static_cast<size_t>(r)].start, 3.0);
   EXPECT_EQ(result.makespan, 4.0);
+}
+
+// The executor contract under priority dispatch: no op starts on a device
+// while another op on that device is already ready, outranks it (strictly
+// smaller priority) and starts later. An op is ready at the latest of its
+// live in-edges: the producer's finish on the same device, otherwise the
+// arrival of the tensor's physical copy on the op's device (one per tensor
+// and destination; later consumers there alias it). Returns the number of
+// dispatches that break the contract.
+int CountPriorityInversions(const SimInput& in, const SimResult& r) {
+  const Graph& g = in.graph;
+  auto device = [&](OpId op) { return in.placement[static_cast<size_t>(op)]; };
+  auto record = [&](OpId op) -> const OpRecord& {
+    return r.op_records[static_cast<size_t>(op)];
+  };
+  std::map<std::pair<OpId, DeviceId>, double> landed;
+  for (const TransferRecord& t : r.transfers)
+    landed.emplace(std::make_pair(t.src_op, t.dst), t.arrival);
+
+  std::vector<std::vector<OpId>> on_device(
+      static_cast<size_t>(in.cluster.num_devices()));
+  std::vector<double> ready(static_cast<size_t>(g.num_slots()), 0.0);
+  for (OpId op : g.LiveOps()) {
+    for (EdgeId e : g.in_edges(op)) {
+      const Edge& edge = g.edge(e);
+      if (edge.dead || g.op(edge.src).dead) continue;
+      const double at = device(edge.src) == device(op)
+                            ? record(edge.src).finish
+                            : landed.at({edge.src, device(op)});
+      ready[static_cast<size_t>(op)] =
+          std::max(ready[static_cast<size_t>(op)], at);
+    }
+    on_device[static_cast<size_t>(device(op))].push_back(op);
+  }
+
+  int inversions = 0;
+  for (std::vector<OpId>& ops : on_device) {
+    std::vector<OpId> by_ready = ops;
+    std::stable_sort(ops.begin(), ops.end(), [&](OpId a, OpId b) {
+      return record(a).start < record(b).start;
+    });
+    std::stable_sort(by_ready.begin(), by_ready.end(), [&](OpId a, OpId b) {
+      return ready[static_cast<size_t>(a)] < ready[static_cast<size_t>(b)];
+    });
+    // Ready ops by priority; an entry that has started by the time it
+    // surfaces is dropped.
+    std::priority_queue<std::pair<int64_t, OpId>,
+                        std::vector<std::pair<int64_t, OpId>>,
+                        std::greater<>>
+        waiting;
+    size_t next = 0;
+    for (OpId op : ops) {
+      const double start = record(op).start;
+      for (; next < by_ready.size() &&
+             ready[static_cast<size_t>(by_ready[next])] <= start;
+           ++next)
+        waiting.emplace(in.priorities[static_cast<size_t>(by_ready[next])],
+                        by_ready[next]);
+      while (!waiting.empty() && record(waiting.top().second).start <= start)
+        waiting.pop();
+      if (!waiting.empty() &&
+          waiting.top().first < in.priorities[static_cast<size_t>(op)])
+        ++inversions;
+    }
+  }
+  return inversions;
+}
+
+int SimulateAndCountInversions(const SimInput& in, double noise_cv) {
+  const SimOptions options =
+      Options(DispatchMode::kPriority, noise_cv, 3, in);
+  return CountPriorityInversions(
+      in, Simulate(in.graph, in.placement, in.cluster, options));
+}
+
+class PriorityDispatch
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
+
+TEST_P(PriorityDispatch, NoReadyOpOutranksTheDispatchedOne) {
+  const auto& [model, gpus] = GetParam();
+  const SimInput perturbed = Perturbed(Canonical(model.c_str(), 1, gpus));
+  EXPECT_EQ(SimulateAndCountInversions(perturbed, 0.0), 0);
+  EXPECT_EQ(SimulateAndCountInversions(perturbed, 0.1), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Zoo, PriorityDispatch,
+    ::testing::Combine(
+        ::testing::Values("lenet", "alexnet", "vgg19", "inception_v3",
+                          "resnet200", "gnmt", "rnnlm", "transformer",
+                          "bert_large"),
+        ::testing::Values(2, 4, 8)),
+    [](const ::testing::TestParamInfo<PriorityDispatch::ParamType>& info) {
+      return StrFormat("%s_%d", std::get<0>(info.param).c_str(),
+                       std::get<1>(info.param));
+    });
+
+// The same contract on RunFastT's pipeline start, whose micro-batch-major
+// order is where an op picked before the instant is over costs the most:
+// the last micro-batch's backward ops become ready on their own device at
+// the instant the op before them finishes.
+TEST(PriorityDispatch, PipelineStartsOfBertLargeAndGnmtOnEightGpus) {
+  for (const char* model : {"bert_large", "gnmt"}) {
+    const ModelSpec& spec = FindModel(model);
+    const Cluster cluster = Cluster::SingleServer(8);
+    PipelineGraph p =
+        BuildPipeline(spec.build, spec.name, spec.strong_batch, 8, cluster);
+    const SimInput in{cluster, std::move(p.graph), std::move(p.placement),
+                      std::move(p.priorities)};
+    EXPECT_EQ(SimulateAndCountInversions(in, 0.0), 0) << model;
+  }
 }
 
 }  // namespace

@@ -117,10 +117,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         FingerprintCase{"bert_large", 1, 8, 16, 0x71ec7b542cdefca9ULL,
                         0x3fad5713f0815037ULL},
-        FingerprintCase{"gnmt", 1, 8, 128, 0x8c51ac635578042eULL,
-                        0x3fb4f52e522982deULL},
-        FingerprintCase{"vgg19", 2, 8, 64, 0xae5b3fa7e5b4eeb1ULL,
-                        0x3fb0d6a7ef64e7bcULL}),
+        FingerprintCase{"gnmt", 1, 8, 128, 0xce26a45f873ccfbfULL,
+                        0x3fb4f52e522982daULL},
+        FingerprintCase{"vgg19", 2, 8, 64, 0xf585d0666e51110eULL,
+                        0x3fb0d6a7ef64e7b3ULL}),
     [](const ::testing::TestParamInfo<FingerprintCase>& info) {
       return StrFormat("%s_%dx%d", info.param.model, info.param.servers,
                        info.param.gpus_per_server);
@@ -190,13 +190,13 @@ TEST_P(CalculatorFingerprint, RunFastTMatchesGolden) {
 INSTANTIATE_TEST_SUITE_P(
     Seed7, CalculatorFingerprint,
     ::testing::Values(
-        CalculatorCase{"vgg19", 4, "crrcccrr", 0x05b60ee502a7f87dULL,
-                       0x3fc75a9e0015132dULL, 0xac0dd0576dab00b5ULL},
-        CalculatorCase{"inception_v3", 2, "rcrrrrc", 0xe1c68d5be1c0e22cULL,
-                       0x3fc3d30770e0cb29ULL, 0x735b8f25e4c7fe6dULL},
+        CalculatorCase{"vgg19", 4, "crrcccrr", 0xcad2bb06669cfb93ULL,
+                       0x3fc75a09563eadc6ULL, 0x8894b68795652ecfULL},
+        CalculatorCase{"inception_v3", 2, "rcrrrrr", 0xad7fbeec84ea5845ULL,
+                       0x3fc3d95c9ed59532ULL, 0x6caf57cc3330f14dULL},
         // The pipeline start wins here, and no candidate beats it.
-        CalculatorCase{"bert_large", 4, "rrrrrr", 0x47814f6de567418aULL,
-                       0x3fc167af7feb017eULL, 0xedfd1d8e04c3f2a8ULL}),
+        CalculatorCase{"bert_large", 4, "rrrrrr", 0xb7c01ff984b8a218ULL,
+                       0x3fbef4faad5ae3cdULL, 0x7a681ee79168ec95ULL}),
     [](const ::testing::TestParamInfo<CalculatorCase>& info) {
       return StrFormat("%s_1x%d", info.param.model, info.param.gpus);
     });
