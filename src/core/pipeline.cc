@@ -148,6 +148,22 @@ std::vector<DeviceId> PipelinePlacement(const PipelineSegments& segments,
   return placement;
 }
 
+std::vector<DeviceId> CopyStageMap(const PipelineSegments& from,
+                                   const std::vector<DeviceId>& placement,
+                                   const PipelineSegments& to) {
+  FASTT_CHECK_MSG(from.time_s.size() == to.time_s.size(),
+                  "the two graphs must have the same segments");
+  std::vector<DeviceId> device_of(from.time_s.size(), kInvalidDevice);
+  for (size_t id = 0; id < from.segment_of.size(); ++id)
+    if (const int32_t s = from.segment_of[id]; s >= 0)
+      device_of[static_cast<size_t>(s)] = placement[id];
+  std::vector<DeviceId> out(to.segment_of.size(), 0);
+  for (size_t id = 0; id < out.size(); ++id)
+    if (const int32_t s = to.segment_of[id]; s >= 0)
+      out[id] = device_of[static_cast<size_t>(s)];
+  return out;
+}
+
 std::vector<OpId> MicroBatchMajorOrder(const Graph& g) {
   std::vector<int32_t> in_degree(static_cast<size_t>(g.num_slots()), 0);
   std::priority_queue<OpId, std::vector<OpId>, std::greater<OpId>> ready;

@@ -74,6 +74,17 @@ std::vector<DeviceId> PipelinePlacement(const PipelineSegments& segments,
                                         int32_t num_devices,
                                         double memory_headroom);
 
+// Copies a stage map from one replica graph of a model to another of the
+// same model at another micro-batch count: every slot of `to` goes to the
+// device `placement` (indexed by the slots of `from`) gave its segment.
+// SegmentPipeline numbers the segments by micro-batch 0's forward layers, so
+// segment i is the same layer in both graphs; the two segment counts must
+// match. A contiguous cut does not depend on the micro-batch count, so the
+// copy needs no profile of `to`.
+std::vector<DeviceId> CopyStageMap(const PipelineSegments& from,
+                                   const std::vector<DeviceId>& placement,
+                                   const PipelineSegments& to);
+
 // Kahn topological sort that always pops the lowest ready slot id. Replica
 // graphs are built micro-batch by micro-batch, so this runs micro-batch m's
 // ops on a stage before micro-batch m+1's whenever both are ready.

@@ -27,6 +27,10 @@ struct Strategy {
   std::vector<SplitDecision> splits;
   // Scheduler's predicted finish time of the exit op, FT(o_exit).
   double predicted_makespan = 0.0;
+  // Micro-batches (replicas) of the data-parallel graph the slot ids refer
+  // to, when not one per device: RunFastT's doubled pipeline runs 2|D|. 0 for
+  // the graph FastT searches (|D| replicas, or the bare model).
+  int micro_batches = 0;
 };
 
 // Order enforcement (paper §6.1): the index of each op in the execution

@@ -209,6 +209,11 @@ std::string ExplainOps(const CalculatorResult& result,
                     [](const RoundSummary& r) { return r.committed; });
     if (!result.provenance.empty())
       out += StrFormat("no recorded op matches \"%s\"\n", needle.c_str());
+    else if (result.strategy.micro_batches != 0)
+      out += StrFormat("the returned strategy is the %s cut at %d "
+                       "micro-batches, which has no DPOS provenance\n",
+                       result.returned_by.c_str(),
+                       result.strategy.micro_batches);
     else if (!any_commit)
       out += StrFormat("no round committed: the returned strategy is the %s "
                        "start, which has no DPOS provenance\n",
@@ -262,6 +267,7 @@ CalculatorResult RunFastT(const ModelBuildFn& build,
   const bool fits = FitsOnOneDevice(probe, cluster);
 
   Graph base;
+  PipelineSegments segments;  // of `base`, when replicated
   std::vector<StartStrategy>& starts = result.starts;
   const bool replicated = fits && cluster.num_devices() > 1;
   if (replicated) {
@@ -305,8 +311,7 @@ CalculatorResult RunFastT(const ModelBuildFn& build,
     // cut by the bootstrap profile over every device and, on several servers,
     // over the first k servers' devices for each k < S: a cut that crosses
     // the slow inter-server link can lose to one that stays off it.
-    const PipelineSegments segments =
-        SegmentPipeline(base, cluster, result.comp);
+    segments = SegmentPipeline(base, cluster, result.comp);
     const double headroom = options.os_dpos.dpos.memory_headroom;
     starts.push_back({"pipeline",
                       PipelinePlacement(segments, cluster,
@@ -354,6 +359,7 @@ CalculatorResult RunFastT(const ModelBuildFn& build,
   if (chosen != 0) result.strategy_time_s += options.restart_overhead_s;
   const StartStrategy& start = starts[chosen];
   result.start_strategy = start.name;
+  result.returned_by = start.name;
 
   Graph current_graph = base;
   StabilityKeys current_keys = CostKeys(current_graph);
@@ -506,6 +512,7 @@ CalculatorResult RunFastT(const ModelBuildFn& build,
       result.provenance = std::move(candidate.schedule.provenance);
       result.split_trials = std::move(candidate.trials);
       result.predicted_op_s = predicted_op;
+      result.returned_by = StrFormat("round %d", summary.round);
     } else {
       // Slower than what we had: roll back (another restart).
       ++result.rollbacks;
@@ -591,6 +598,92 @@ CalculatorResult RunFastT(const ModelBuildFn& build,
     }
   }
 
+  // ---- after the rounds: the best pipeline cut at twice the micro-batches ---
+  // The paper's §7/§8 splits the mini-batch further once placement and order
+  // are known. A contiguous stage cut does not depend on the micro-batch
+  // count, so the fastest feasible pipeline start's stage map carries over to
+  // the DP graph at 2|D| micro-batches of the same global batch without a new
+  // profile. It is one last challenger, measured as returned and charged as
+  // a round is (one restart to activate it, one more to roll back); its
+  // steps do not feed the cost models.
+  const int doubled_m = 2 * cluster.num_devices();
+  const StartStrategy* cut = nullptr;
+  for (size_t i = 1; i < starts.size(); ++i)
+    if (!starts[i].oom &&
+        (cut == nullptr || starts[i].measured_s < cut->measured_s))
+      cut = &starts[i];
+  bool rebuild_dp = false;
+  if (cut != nullptr && result.global_batch >= doubled_m) {
+    // The rounds' OS-DPOS working set sets the peak memory, so the doubled
+    // graph is built only after the DP graph, and an incumbent start that
+    // shares its chunks, are released. The DP graph is rebuilt, a pure
+    // function of model, batch and |D|, only if the challenger loses, and
+    // only once the doubled graph is gone.
+    const bool incumbent_is_start = std::none_of(
+        result.round_history.begin(), result.round_history.end(),
+        [](const RoundSummary& r) { return r.committed; });
+    base = Graph();
+    if (incumbent_is_start) current_graph = Graph();
+    DataParallelGraph doubled_dp =
+        BuildDataParallel(build, model_name, result.global_batch, doubled_m,
+                          Scaling::kStrong);
+    // The copy reads only the segment numbering, so the segments go unpriced.
+    const PipelineSegments doubled_segments =
+        SegmentPipeline(doubled_dp.graph, cluster, CompCostModel{});
+    StartStrategy& doubled = result.doubled_pipeline;
+    doubled = {cut->name,
+               CopyStageMap(segments, cut->placement, doubled_segments),
+               doubled_segments.order};
+    const std::vector<int64_t> priorities =
+        enforce ? PrioritiesFromOrder(doubled.order,
+                                      doubled_dp.graph.num_slots())
+                : std::vector<int64_t>{};
+    result.strategy_time_s += options.restart_overhead_s;
+    doubled.measured_s = MeasureSteps(
+        doubled_dp.graph, doubled.placement, priorities, start_dispatch,
+        cluster, options.profile_iterations, options.noise_cv,
+        options.seed + 524287, nullptr, &doubled.oom);
+    result.strategy_time_s += doubled.measured_s * options.profile_iterations;
+    const bool wins = !doubled.oom && (current_oom ||
+                                       doubled.measured_s < current_measured);
+    result.events.Emit("doubled_pipeline")
+        .Str("cut", doubled.name)
+        .Int("micro_batches", doubled_m)
+        .Int("ops", doubled_dp.graph.num_live_ops())
+        .Number("measured_s", doubled.measured_s)
+        .Number("best_before_s", current_measured)
+        .Bool("oom", doubled.oom)
+        .Bool("committed", wins);
+    if (wins) {
+      current_graph = std::move(doubled_dp.graph);
+      current_placement = doubled.placement;
+      current_priorities = priorities;
+      current_dispatch = start_dispatch;
+      current_measured = doubled.measured_s;
+      current_oom = false;
+      current_strategy = Strategy{};
+      current_strategy.placement = doubled.placement;
+      current_strategy.execution_order = doubled.order;
+      current_strategy.micro_batches = doubled_m;
+      // The returned strategy has no DPOS provenance.
+      result.provenance.clear();
+      result.split_trials.clear();
+      result.predicted_op_s.clear();
+      result.returned_by = doubled.name;
+    } else {
+      result.strategy_time_s += options.restart_overhead_s;
+      rebuild_dp = incumbent_is_start;
+    }
+  }
+  if (rebuild_dp)
+    current_graph = BuildDataParallel(build, model_name, batch,
+                                      cluster.num_devices(), scaling)
+                        .graph;
+  result.micro_batches = current_strategy.micro_batches != 0
+                             ? current_strategy.micro_batches
+                         : replicated ? cluster.num_devices()
+                                      : 1;
+
   // ---- normal training: measure the final strategy --------------------------
   result.iteration_s = MeasureSteps(
       current_graph, current_placement, current_priorities, current_dispatch,
@@ -604,6 +697,8 @@ CalculatorResult RunFastT(const ModelBuildFn& build,
   result.strategy_time_s += result.algorithm_time_s;
   result.events.Emit("final")
       .Str("model", model_name)
+      .Str("returned_by", result.returned_by)
+      .Int("micro_batches", result.micro_batches)
       .Number("iteration_s", result.iteration_s)
       .Int("rounds", result.rounds)
       .Int("rollbacks", result.rollbacks)

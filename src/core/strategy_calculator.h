@@ -6,8 +6,10 @@
 // few profiled iterations, update the adaptive cost models, compute a new
 // strategy with OS-DPOS, activate it (checkpoint + restart, accounted as
 // overhead), and roll back if the measured per-iteration time regressed.
-// Stop when the computation cost model is stable. Profiled execution comes
-// from the simulated testbed; FastT's algorithms only ever see the profiles.
+// Stop when the computation cost model is stable; then measure the fastest
+// pipeline cut at twice the micro-batches as one last challenger. Profiled
+// execution comes from the simulated testbed; FastT's algorithms only ever
+// see the profiles.
 #pragma once
 
 #include <cstdint>
@@ -92,7 +94,9 @@ struct RoundSummary {
 };
 
 // A start strategy RunFastT measured at bootstrap, on its base graph: the
-// DP graph, or the bare model when one replica does not fit one GPU.
+// DP graph, or the bare model when one replica does not fit one GPU. The
+// doubled pipeline it measures after the rounds has the same form, on its
+// own graph.
 struct StartStrategy {
   std::string name;
   std::vector<DeviceId> placement;
@@ -123,6 +127,20 @@ struct CalculatorResult {
   // "model_parallel" (the model does not fit one GPU).
   std::vector<StartStrategy> starts;
   std::string start_strategy;
+  // The last challenger, measured after the rounds (paper §7/§8: micro-batch
+  // after placement and order are known): the fastest feasible pipeline
+  // start's stage map copied onto the DP graph at 2|D| micro-batches of the
+  // same global batch (BuildDataParallel(global_batch, 2|D|, kStrong)), under
+  // that graph's micro-batch-major order. Named after the start whose cut it
+  // carries; the name is empty when it was not built (one start, a global
+  // batch below 2|D|, or no pipeline start fits).
+  StartStrategy doubled_pipeline;
+  // What the returned strategy is: a start's name, "round <k>" for the last
+  // round that committed, or the doubled pipeline's name; and the
+  // micro-batch count of `graph` (|D| on the DP graph, 2|D| for the doubled
+  // pipeline, 1 on the bare model).
+  std::string returned_by;
+  int micro_batches = 0;
   CompCostModel comp;
   CommCostModel comm;
   SimResult final_sim;  // one representative simulation of the final setup

@@ -12,6 +12,8 @@ constexpr int kFormatVersion = 1;
 void SerializeStrategy(const Strategy& strategy, std::ostream& out) {
   out << "fastt_strategy " << kFormatVersion << "\n";
   out << "makespan " << strategy.predicted_makespan << "\n";
+  if (strategy.micro_batches != 0)
+    out << "micro_batches " << strategy.micro_batches << "\n";
   out << "placement";
   for (DeviceId d : strategy.placement) out << ' ' << d;
   out << "\norder";
@@ -46,6 +48,10 @@ Strategy DeserializeStrategy(std::istream& in) {
     ls >> kind;
     if (kind == "makespan") {
       ls >> strategy.predicted_makespan;
+    } else if (kind == "micro_batches") {
+      ls >> strategy.micro_batches;
+      FASTT_CHECK_MSG(ls && strategy.micro_batches > 0,
+                      "micro_batches must be a positive count");
     } else if (kind == "placement") {
       DeviceId d;
       while (ls >> d) strategy.placement.push_back(d);

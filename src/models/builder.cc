@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 
 #include "util/check.h"
 #include "util/strings.h"
@@ -15,6 +16,44 @@ constexpr int64_t kF32 = 4;  // bytes per element
 int64_t ConvOut(int64_t in, int kernel, int stride, bool same) {
   if (same) return (in + stride - 1) / stride;
   return (in - kernel) / stride + 1;
+}
+
+// Graph::TopoOrder restricted to `ops` (ascending slot ids), a subgraph that
+// shares no edge with the rest of `g`: the same FIFO Kahn walk, seeded in
+// slot order, visits such a subgraph in the same order whether or not the
+// rest of the graph is walked too.
+std::vector<OpId> SubgraphTopoOrder(const Graph& g,
+                                    const std::vector<OpId>& ops) {
+  if (ops.empty()) return {};
+  const OpId first = ops.front();
+  std::vector<int32_t> in_degree(static_cast<size_t>(ops.back() - first + 1),
+                                 0);
+  auto degree = [&](OpId id) -> int32_t& {
+    return in_degree[static_cast<size_t>(id - first)];
+  };
+  for (OpId id : ops)
+    for (EdgeId e : g.in_edges(id))
+      if (!g.edge(e).dead && !g.op(g.edge(e).src).dead) ++degree(id);
+  std::deque<OpId> ready;
+  for (OpId id : ops)
+    if (degree(id) == 0) ready.push_back(id);
+  std::vector<OpId> order;
+  order.reserve(ops.size());
+  while (!ready.empty()) {
+    const OpId id = ready.front();
+    ready.pop_front();
+    order.push_back(id);
+    for (EdgeId e : g.out_edges(id)) {
+      const Edge& edge = g.edge(e);
+      if (edge.dead || g.op(edge.dst).dead) continue;
+      FASTT_CHECK_MSG(edge.dst >= first && edge.dst <= ops.back(),
+                      "the model's forward ops must not feed other ops");
+      if (--degree(edge.dst) == 0) ready.push_back(edge.dst);
+    }
+  }
+  FASTT_CHECK_MSG(order.size() == ops.size(),
+                  "the model's forward ops must form a closed acyclic graph");
+  return order;
 }
 
 }  // namespace
@@ -548,8 +587,10 @@ void ModelBuilder::Finish() {
   // Gradient contributions (producers of dL/d(output of op)).
   std::unordered_map<OpId, std::vector<OpId>> pending;
 
-  // Reverse topological order over the forward subgraph.
-  std::vector<OpId> order = graph_.TopoOrder();
+  // Reverse topological order over the forward subgraph. A replica graph
+  // also holds the replicas built before this one; walking only this
+  // model's ops keeps building R replicas linear in R.
+  std::vector<OpId> order = SubgraphTopoOrder(graph_, forward_ops_);
   std::reverse(order.begin(), order.end());
 
   for (OpId f : order) {

@@ -3,12 +3,12 @@
 #include "obs/json.h"
 #include "util/strings.h"
 
-// The three FASTT_BUILD_* macros are injected by src/obs/CMakeLists.txt as
-// COMPILE_DEFINITIONS on this file only, so editing a source file elsewhere
-// never rebuilds the world just to restamp provenance.
-#ifndef FASTT_BUILD_GIT_SHA
-#define FASTT_BUILD_GIT_SHA "unknown"
-#endif
+// The FASTT_BUILD_* macros reach this file only (src/obs/CMakeLists.txt):
+// the git sha through a header regenerated at build time, the build type
+// and flags as COMPILE_DEFINITIONS, so restamping provenance never rebuilds
+// anything else.
+#include "build_git_sha.h"
+
 #ifndef FASTT_BUILD_TYPE
 #define FASTT_BUILD_TYPE "unknown"
 #endif

@@ -12,7 +12,7 @@ namespace fastt {
 class JsonWriter;
 
 struct BuildInfoData {
-  std::string git_sha;     // short sha at configure time, "unknown" outside git
+  std::string git_sha;     // short sha at build time, "unknown" outside git
   std::string compiler;    // e.g. "g++ 13.2.0"
   std::string build_type;  // CMAKE_BUILD_TYPE, e.g. "Release"
   std::string flags;       // sanitizers/options that change comparability

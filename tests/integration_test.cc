@@ -14,6 +14,8 @@
 #include "core/pipeline.h"
 #include "core/portfolio.h"
 #include "core/strategy_calculator.h"
+#include "core/strategy_io.h"
+#include "graph/serialize.h"
 #include "models/model_zoo.h"
 #include "util/strings.h"
 
@@ -199,14 +201,18 @@ TEST(Integration, HeterogeneousDevicesAbsorbMoreWork) {
 // The zoo on one server at 2, 4 and 8 GPUs and on two servers of 4 and 8:
 // RunFastT's returned strategy verifies, fits in memory under its declared
 // order, and is no slower (noise-free) than the best start RunFastT measured
-// that fits, up to 5% for candidates that commit on noisy measurements. Each
-// start's OOM flag, from its noisy measured steps, agrees with its
-// noise-free replay. The property holds for any round count, so most configs
-// run one round; bert_large/8 and transformer/8, the north-star configs, run
-// at the default options, and bert_large/8 replays in at most 80 ms: its
-// pipeline start drains the last micro-batch's backward pass without
-// gradient updates cutting in. An executor whose idle device chose before
-// the rest of the instant was applied replays it in 97.8 ms.
+// that fits, nor than the doubled pipeline replayed on its own graph, up to
+// 5% for candidates that commit on noisy measurements. Each start's OOM
+// flag, and the doubled pipeline's, from its noisy measured steps, agrees
+// with its noise-free replay. The property holds for any round count, so
+// most configs run one round; bert_large/8, transformer/8 and resnet200/8
+// run at the default options and replay within their pinned bounds.
+// bert_large/8 replays in at most 80 ms: its pipeline start drains the last
+// micro-batch's backward pass without gradient updates cutting in (an
+// executor whose idle device chose before the rest of the instant was
+// applied replays it in 97.8 ms). transformer/8 (at most 130 ms) and
+// resnet200/8 (at most 105 ms) return the doubled pipeline; with M = |D|
+// micro-batches they replay in 149.2 and 118.6 ms.
 double Resimulate(const Graph& g, const std::vector<DeviceId>& placement,
                   const std::vector<OpId>& order, const Cluster& cluster) {
   SearchResult r;
@@ -221,10 +227,11 @@ void ExpectNoSlowerThanTheBestStart(const std::string& name,
   const ModelSpec& spec = FindModel(name);
   const int gpus = cluster.num_devices();
   const int servers = cluster.device(gpus - 1).server + 1;
+  const std::map<std::string, double> bound_s = {
+      {"bert_large", 0.080}, {"transformer", 0.130}, {"resnet200", 0.105}};
+  const bool pinned = gpus == 8 && servers == 1 && bound_s.count(name) > 0;
   CalculatorOptions options;
-  if (gpus != 8 || servers != 1 ||
-      (name != "bert_large" && name != "transformer"))
-    options.max_rounds = 1;
+  if (!pinned) options.max_rounds = 1;
   const CalculatorResult ft = RunFastT(spec.build, spec.name,
                                        spec.strong_batch, Scaling::kStrong,
                                        cluster, options);
@@ -232,9 +239,7 @@ void ExpectNoSlowerThanTheBestStart(const std::string& name,
   const double returned = Resimulate(ft.graph, ft.strategy.placement,
                                      ft.strategy.execution_order, cluster);
   ASSERT_TRUE(std::isfinite(returned)) << "the returned strategy is OOM";
-  if (name == "bert_large" && gpus == 8 && servers == 1) {
-    EXPECT_LE(returned, 0.080);
-  }
+  if (pinned) EXPECT_LE(returned, bound_s.at(name));
 
   // Every zoo model fits one GPU at its strong batch, so the starts are
   // shared-variable DP and one pipeline per prefix of servers, all on the
@@ -245,9 +250,26 @@ void ExpectNoSlowerThanTheBestStart(const std::string& name,
   const DataParallelGraph dp = BuildDataParallel(
       spec.build, spec.name, spec.strong_batch, gpus, Scaling::kStrong);
   double best_start = std::numeric_limits<double>::infinity();
-  for (const StartStrategy& s : ft.starts) {
+  bool pipeline_fits = false;
+  for (size_t i = 0; i < ft.starts.size(); ++i) {
+    const StartStrategy& s = ft.starts[i];
     const double replay = Resimulate(dp.graph, s.placement, s.order, cluster);
     EXPECT_EQ(s.oom, !std::isfinite(replay)) << s.name;
+    best_start = std::min(best_start, replay);
+    if (i > 0 && !s.oom) pipeline_fits = true;
+  }
+  // The doubled pipeline, on the DP graph at 2|D| micro-batches, is built
+  // whenever the batch covers them and some pipeline start fits.
+  const StartStrategy& doubled = ft.doubled_pipeline;
+  ASSERT_EQ(!doubled.name.empty(),
+            pipeline_fits && spec.strong_batch >= 2 * gpus);
+  if (!doubled.name.empty()) {
+    const DataParallelGraph doubled_dp =
+        BuildDataParallel(spec.build, spec.name, spec.strong_batch, 2 * gpus,
+                          Scaling::kStrong);
+    const double replay = Resimulate(doubled_dp.graph, doubled.placement,
+                                     doubled.order, cluster);
+    EXPECT_EQ(doubled.oom, !std::isfinite(replay)) << "doubled pipeline";
     best_start = std::min(best_start, replay);
   }
   if (std::isfinite(best_start)) {
@@ -296,11 +318,13 @@ INSTANTIATE_TEST_SUITE_P(
                        std::get<1>(info.param));
     });
 
-// The time-balanced stage cut's headline: at the default options gnmt on 8
-// GPUs returns a strategy that runs, noise-free, in at most 150 ms. A
-// pipeline cut balanced by memory runs about 254 ms there, and FastT
-// returns 185.6 ms from it.
-TEST(PipelineStart, Gnmt8ReturnsAtMost150Ms) {
+// The doubled pipeline's headline: at the default options gnmt on 8 GPUs
+// returns the pipeline start's stage cut run at 16 micro-batches, which
+// replays, noise-free, in at most 116 ms (114.6 ms). The cut at 8
+// micro-batches, the best start, replays in 131.1 ms; a cut balanced by
+// memory runs about 254 ms. The returned strategy records its micro-batch
+// count, so a strategy file rebuilds the graph its slot ids refer to.
+TEST(PipelineStart, Gnmt8ReturnsAtMost116Ms) {
   const ModelSpec& spec = FindModel("gnmt");
   const Cluster cluster = Cluster::SingleServer(8);
   const CalculatorResult ft = RunFastT(spec.build, spec.name,
@@ -308,7 +332,40 @@ TEST(PipelineStart, Gnmt8ReturnsAtMost150Ms) {
                                        cluster);
   EXPECT_LE(Resimulate(ft.graph, ft.strategy.placement,
                        ft.strategy.execution_order, cluster),
-            0.150);
+            0.116);
+  EXPECT_EQ(ft.returned_by, "pipeline");
+  EXPECT_EQ(ft.micro_batches, 16);
+  const Strategy copy = DeserializeStrategy(SerializeStrategy(ft.strategy));
+  ASSERT_EQ(copy.micro_batches, 16);
+  const DataParallelGraph dp =
+      BuildDataParallel(spec.build, spec.name, ft.global_batch,
+                        copy.micro_batches, Scaling::kStrong);
+  EXPECT_EQ(SerializeGraph(dp.graph), SerializeGraph(ft.graph));
+  EXPECT_EQ(VerifyStrategy(dp.graph, copy, cluster).errors, 0);
+  const std::string events = ft.events.ToJsonl();
+  EXPECT_NE(events.find("\"returned_by\":\"pipeline\",\"micro_batches\":16"),
+            std::string::npos);
+}
+
+// When the doubled pipeline loses, the DP graph RunFastT released before
+// building it is rebuilt, and the returned graph is byte for byte the one
+// the rounds searched: bert_large/8's doubled pipeline replays in 79.7 ms
+// against its start's 76.5 ms.
+TEST(PipelineStart, LosingDoubledPipelineReturnsTheRebuiltDpGraph) {
+  const ModelSpec& spec = FindModel("bert_large");
+  const Cluster cluster = Cluster::SingleServer(8);
+  CalculatorOptions options;
+  options.max_rounds = 0;
+  const CalculatorResult ft = RunFastT(spec.build, spec.name,
+                                       spec.strong_batch, Scaling::kStrong,
+                                       cluster, options);
+  ASSERT_EQ(ft.doubled_pipeline.name, "pipeline");
+  EXPECT_EQ(ft.returned_by, "pipeline");
+  EXPECT_EQ(ft.micro_batches, 8);
+  EXPECT_EQ(ft.strategy.micro_batches, 0);
+  const DataParallelGraph dp = BuildDataParallel(
+      spec.build, spec.name, spec.strong_batch, 8, Scaling::kStrong);
+  EXPECT_EQ(SerializeGraph(ft.graph), SerializeGraph(dp.graph));
 }
 
 // The per-server starts' headline: on two servers of 8 GPUs, gnmt's cut over

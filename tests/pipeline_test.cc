@@ -196,6 +196,36 @@ TEST_P(StageCut, EveryStageFitsTheMemoryBudget) {
         << "device " << d;
 }
 
+TEST_P(StageCut, CopiedCutKeepsEveryOpOnItsSegmentsDevice) {
+  // The M = |D| cut copied onto the DP graph at 2|D| micro-batches: every
+  // micro-batch's copy of an op, and every shared op, runs on the device
+  // the cut chose for the op in the M = |D| graph.
+  const Cluster cluster = Cluster::SingleServer(8);
+  const ZooCut cut = CutZooModel(GetParam(), cluster);
+  const ModelSpec& spec = FindModel(GetParam());
+  const DataParallelGraph doubled = BuildDataParallel(
+      spec.build, spec.name, spec.strong_batch, 16, Scaling::kStrong);
+  const std::vector<DeviceId> copied = CopyStageMap(
+      SegmentPipeline(cut.dp.graph, cluster, cut.comp), cut.placement,
+      SegmentPipeline(doubled.graph, cluster, cut.comp));
+  // "rep<m>/<op>" is micro-batch m's copy of <op>; the aggregation ops are
+  // shared and keep their names.
+  std::set<DeviceId> used;
+  for (OpId id : doubled.graph.LiveOps()) {
+    const std::string& name = doubled.graph.op(id).name;
+    const std::string zero = name.rfind("rep", 0) == 0
+                                 ? "rep0" + name.substr(name.find('/'))
+                                 : name;
+    const OpId base = cut.dp.graph.FindOp(zero);
+    ASSERT_NE(base, kInvalidOp) << name;
+    EXPECT_EQ(copied[static_cast<size_t>(id)],
+              cut.placement[static_cast<size_t>(base)])
+        << name;
+    used.insert(copied[static_cast<size_t>(id)]);
+  }
+  EXPECT_GT(used.size(), 1u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Zoo8Gpus, StageCut,
     ::testing::Values("gnmt", "rnnlm", "transformer", "bert_large",
@@ -347,9 +377,23 @@ TEST(StageCut, UsesOnlyTheGivenDevices) {
   EXPECT_EQ(used, (std::set<DeviceId>{0, 1, 2, 3}));
 }
 
+TEST(StageCut, CopyRejectsAnotherModelsSegments) {
+  const Cluster cluster = Cluster::SingleServer(2);
+  const Chain two = BuildChain({1e-3, 1e-3}, {0, 0});
+  const Chain three = BuildChain({1e-3, 1e-3, 1e-3}, {0, 0, 0});
+  const PipelineSegments from = SegmentPipeline(two.graph, cluster, two.comp);
+  EXPECT_THROW(
+      CopyStageMap(from, PipelinePlacement(from, cluster, 2, 0.92),
+                   SegmentPipeline(three.graph, cluster, three.comp)),
+      std::logic_error);
+}
+
 TEST(Pipeline, BuildPipelineIsTheCalculatorsPipelineStart) {
   // Same graph, same bootstrap profile, same cut: `fastt compare`'s pipeline
-  // row is the start RunFastT measures.
+  // row is the start RunFastT measures. The doubled pipeline RunFastT
+  // measures after the rounds is that cut copied onto the DP graph at
+  // 2|D| micro-batches, under its micro-batch-major order, and its OOM flag
+  // agrees with its noise-free replay on that graph.
   const ModelSpec& spec = FindModel("lenet");
   const Cluster cluster = Cluster::SingleServer(4);
   CalculatorOptions options;
@@ -364,6 +408,22 @@ TEST(Pipeline, BuildPipelineIsTheCalculatorsPipelineStart) {
   EXPECT_EQ(ft.starts[1].placement, p.placement);
   EXPECT_EQ(PrioritiesFromOrder(ft.starts[1].order, p.graph.num_slots()),
             p.priorities);
+
+  const StartStrategy& doubled = ft.doubled_pipeline;
+  ASSERT_EQ(doubled.name, "pipeline");
+  const DataParallelGraph dp = BuildDataParallel(
+      spec.build, spec.name, spec.strong_batch, 8, Scaling::kStrong);
+  const CompCostModel unpriced;
+  EXPECT_EQ(doubled.placement,
+            CopyStageMap(SegmentPipeline(p.graph, cluster, unpriced),
+                         p.placement,
+                         SegmentPipeline(dp.graph, cluster, unpriced)));
+  EXPECT_EQ(doubled.order, MicroBatchMajorOrder(dp.graph));
+  SimOptions so;
+  so.dispatch = DispatchMode::kPriority;
+  so.priorities = PrioritiesFromOrder(doubled.order, dp.graph.num_slots());
+  const SimResult replay = Simulate(dp.graph, doubled.placement, cluster, so);
+  EXPECT_EQ(doubled.oom, replay.oom);
 }
 
 }  // namespace

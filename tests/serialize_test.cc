@@ -178,6 +178,26 @@ TEST(StrategySerialize, RoundTripsScheduledStrategyWithGlueOps) {
   EXPECT_EQ(SerializeStrategy(copy), SerializeStrategy(s));
 }
 
+TEST(StrategySerialize, MicroBatchCountIsWrittenOnlyWhenRecorded) {
+  // A strategy on the graph FastT searches writes no micro_batches record,
+  // so files written before the record existed read and write unchanged.
+  Strategy s;
+  s.placement = {0, 1};
+  s.execution_order = {1, 0};
+  const std::string plain = SerializeStrategy(s);
+  EXPECT_EQ(plain.find("micro_batches"), std::string::npos);
+  EXPECT_EQ(DeserializeStrategy(plain).micro_batches, 0);
+  s.micro_batches = 16;
+  const std::string doubled = SerializeStrategy(s);
+  EXPECT_NE(doubled.find("\nmicro_batches 16\n"), std::string::npos);
+  const Strategy copy = DeserializeStrategy(doubled);
+  EXPECT_EQ(copy.micro_batches, 16);
+  EXPECT_EQ(copy.placement, s.placement);
+  EXPECT_EQ(SerializeStrategy(copy), doubled);
+  EXPECT_THROW(DeserializeStrategy("fastt_strategy 1\nmicro_batches 0\n"),
+               std::logic_error);
+}
+
 TEST(StrategySerialize, EmptyStrategy) {
   const Strategy copy = DeserializeStrategy(SerializeStrategy(Strategy{}));
   EXPECT_TRUE(copy.placement.empty());

@@ -5,8 +5,9 @@
 //   fastt run <model> [--gpus N] [--servers S] [--batch B] [--weak]
 //       Run the full FastT workflow and report the strategy + throughput.
 //   fastt compare <model> [--gpus N] [--servers S] [--batch B]
-//       DP (shared-variable), ring-allreduce DP, model parallel, pipeline
-//       and FastT side by side.
+//       DP (shared-variable), ring-allreduce DP, model parallel, the
+//       pipeline at |D| and 2|D| micro-batches and FastT side by side, each
+//       simulated noise-free under the order it is returned with.
 //   fastt export <model> <graph.txt> [--batch B]
 //       Serialize the training graph to the text format.
 //   fastt trace <model> <trace.json> [--gpus N]
@@ -327,7 +328,9 @@ int CmdRun(const Args& args) {
               "strategy time, %.3f s algorithm wall time\n",
               ft.rounds, ft.rollbacks, ft.strategy_time_s,
               ft.algorithm_time_s);
-  std::printf("  bootstrap: %s; splits: %zu\n", ft.start_strategy.c_str(),
+  std::printf("  bootstrap: %s; returned: %s, %d micro-batch%s; splits: %zu\n",
+              ft.start_strategy.c_str(), ft.returned_by.c_str(),
+              ft.micro_batches, ft.micro_batches == 1 ? "" : "es",
               ft.strategy.splits.size());
   for (const SplitDecision& s : ft.strategy.splits)
     std::printf("    split %s %s x%d\n", s.op_name.c_str(),
@@ -390,56 +393,66 @@ int CmdCompare(const Args& args) {
   std::printf("%s, global batch %lld, %s\n\n", spec.name.c_str(),
               (long long)batch, cluster.ToString().c_str());
   TablePrinter table({"strategy", "samples/s", "iteration", "OOM"});
-  auto row = [&](const std::string& name, double iteration_s, bool oom) {
-    table.AddRow({name,
-                  oom ? "-" : StrFormat("%.1f", batch / (iteration_s +
-                                                          kSessionOverheadS)),
-                  StrFormat("%.3f ms", iteration_s * 1e3), oom ? "yes" : "no"});
-  };
-  CalculatorOptions options;
-  const auto dp = RunDataParallelBaseline(spec.build, spec.name, batch,
-                                          Scaling::kStrong, cluster, options);
-  row("data parallel (shared vars)", dp.iteration_s, dp.final_sim.oom);
-  {
-    const auto ar = BuildAllReduceDataParallel(
-        spec.build, spec.name, batch, cluster.num_devices(),
-        Scaling::kStrong);
-    SimOptions so;
-    so.dispatch = DispatchMode::kRandom;
-    const SimResult r =
-        Simulate(ar.graph, AllReducePlacement(ar), cluster, so);
-    row("data parallel (ring allreduce)", r.makespan, r.oom);
-  }
-  {
-    Graph g(spec.name);
-    spec.build(g, "", batch);
-    const auto placement = GreedyModelParallelPlacement(g, cluster);
-    const SimResult r = Simulate(g, placement, cluster);
-    row("model parallel (layer cut)", r.makespan, r.oom);
-  }
-  // The pipeline FastT starts from and FastT's returned strategy, each
-  // noise-free under its declared order (ResimulateIteration's evaluation).
-  auto enforced = [&](const Graph& g, const std::vector<DeviceId>& placement,
-                      const std::vector<int64_t>& priorities) {
+  // Every row is scored as ResimulateIteration scores a returned strategy:
+  // noise-free, under the order it is returned with. A baseline without an
+  // order of its own runs its graph's TopoOrder, as RunFastT's data-parallel
+  // and model-parallel starts do.
+  auto row = [&](const std::string& name, const Graph& g,
+                 const std::vector<DeviceId>& placement,
+                 const std::vector<int64_t>& priorities) {
     SimOptions so;
     so.dispatch = DispatchMode::kPriority;
     so.priorities = priorities;
     const SimResult r = Simulate(g, placement, cluster, so);
-    return std::make_pair(r.makespan, r.oom);
+    table.AddRow({name,
+                  r.oom ? "-"
+                        : StrFormat("%.1f", batch / (r.makespan +
+                                                     kSessionOverheadS)),
+                  StrFormat("%.3f ms", r.makespan * 1e3),
+                  r.oom ? "yes" : "no"});
   };
+  auto topo = [](const Graph& g) {
+    return PrioritiesFromOrder(g.TopoOrder(), g.num_slots());
+  };
+  const int gpus = cluster.num_devices();
   {
-    const auto p = BuildPipeline(spec.build, spec.name, batch,
-                                 cluster.num_devices(), cluster);
-    const auto [makespan, oom] = enforced(p.graph, p.placement, p.priorities);
-    row(StrFormat("pipeline (%d micro-batches)", cluster.num_devices()),
-        makespan, oom);
+    const DataParallelGraph dp = BuildDataParallel(
+        spec.build, spec.name, batch, gpus, Scaling::kStrong);
+    row("data parallel (shared vars)", dp.graph,
+        CanonicalDataParallelPlacement(dp), topo(dp.graph));
   }
+  {
+    const auto ar = BuildAllReduceDataParallel(spec.build, spec.name, batch,
+                                               gpus, Scaling::kStrong);
+    row("data parallel (ring allreduce)", ar.graph, AllReducePlacement(ar),
+        topo(ar.graph));
+  }
+  {
+    Graph g(spec.name);
+    spec.build(g, "", batch);
+    row("model parallel (layer cut)", g,
+        GreedyModelParallelPlacement(g, cluster), topo(g));
+  }
+  // The pipeline FastT starts from, the doubled pipeline it measures after
+  // the rounds (replayed on its own graph) and the strategy it returns.
+  {
+    const auto p = BuildPipeline(spec.build, spec.name, batch, gpus, cluster);
+    row(StrFormat("pipeline (%d micro-batches)", gpus), p.graph, p.placement,
+        p.priorities);
+  }
+  CalculatorOptions options;
   const auto ft = RunFastT(spec.build, spec.name, batch, Scaling::kStrong,
                            cluster, options);
-  const auto [makespan, oom] = enforced(
-      ft.graph, ft.strategy.placement,
+  if (const StartStrategy& doubled = ft.doubled_pipeline;
+      !doubled.name.empty()) {
+    const DataParallelGraph dp = BuildDataParallel(
+        spec.build, spec.name, ft.global_batch, 2 * gpus, Scaling::kStrong);
+    row(StrFormat("%s (%d micro-batches)", doubled.name.c_str(), 2 * gpus),
+        dp.graph, doubled.placement,
+        PrioritiesFromOrder(doubled.order, dp.graph.num_slots()));
+  }
+  row("FastT", ft.graph, ft.strategy.placement,
       PrioritiesFromOrder(ft.strategy.execution_order, ft.graph.num_slots()));
-  row("FastT", makespan, oom);
   table.Print();
   return 0;
 }
@@ -536,19 +549,11 @@ int CmdVerify(const Args& args) {
   const int64_t batch = args.batch > 0 ? args.batch : spec.strong_batch;
   const Cluster cluster = MakeCluster(args);
 
-  // The base graph every strategy for this model refers to: the
-  // data-parallel replication (what StrategyCalculator hands OS-DPOS).
-  DataParallelGraph dp = BuildDataParallel(spec.build, spec.name, batch,
-                                           cluster.num_devices(),
-                                           args.scaling);
-  const std::vector<DeviceId> dp_placement =
-      CanonicalDataParallelPlacement(dp);
-  Graph graph = std::move(dp.graph);
-
   CompCostModel comp;
   CommCostModel comm;
   Strategy strategy;
-  if (!args.strategy_path.empty()) {
+  const bool from_file = !args.strategy_path.empty();
+  if (from_file) {
     std::ifstream in(args.strategy_path);
     if (!in) {
       std::fprintf(stderr,
@@ -566,6 +571,35 @@ int CmdVerify(const Args& args) {
                    args.strategy_path.c_str(), e.what());
       return 2;
     }
+  }
+
+  // The base graph the strategy's slot ids refer to: the data-parallel
+  // replication StrategyCalculator hands OS-DPOS or, for a strategy that
+  // records its micro-batch count (RunFastT's doubled pipeline), the DP graph
+  // at that count and the same global batch.
+  const int gpus = cluster.num_devices();
+  const int64_t global_batch =
+      args.scaling == Scaling::kStrong ? batch : batch * gpus;
+  if (strategy.micro_batches > global_batch) {
+    std::fprintf(stderr,
+                 "fastt: strategy file \"%s\" runs %d micro-batches, more "
+                 "than the global batch %lld — pass the --batch it was "
+                 "computed for\n",
+                 args.strategy_path.c_str(), strategy.micro_batches,
+                 (long long)global_batch);
+    return 2;
+  }
+  DataParallelGraph dp =
+      strategy.micro_batches != 0
+          ? BuildDataParallel(spec.build, spec.name, global_batch,
+                              strategy.micro_batches, Scaling::kStrong)
+          : BuildDataParallel(spec.build, spec.name, batch, gpus,
+                              args.scaling);
+  const std::vector<DeviceId> dp_placement =
+      CanonicalDataParallelPlacement(dp);
+  Graph graph = std::move(dp.graph);
+
+  if (from_file) {
     // Re-apply the recorded split list so slot ids in the strategy line up
     // with the rewritten graph. Unknown or unsplittable names are left for
     // the verifier to report (strategy.split.op) instead of aborting here.
@@ -575,10 +609,12 @@ int CmdVerify(const Args& args) {
         continue;
       SplitOperation(graph, id, s.dim, s.num_splits);
     }
-    std::printf("verify: %s, batch %lld, %s, strategy %s (%zu splits)\n",
+    std::printf("verify: %s, batch %lld, %s, strategy %s (%zu splits, %d "
+                "micro-batches)\n",
                 spec.name.c_str(), (long long)batch,
                 cluster.ToString().c_str(), args.strategy_path.c_str(),
-                strategy.splits.size());
+                strategy.splits.size(),
+                strategy.micro_batches != 0 ? strategy.micro_batches : gpus);
   } else {
     // No file: verify the strategy a pre-training round would compute —
     // bootstrap-profile the DP placement once, then search with OS-DPOS.
